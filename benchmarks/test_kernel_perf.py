@@ -23,13 +23,9 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import time
 
-import pytest
-
 import baseline_engine
-from repro import accel
 from repro.mem import MIB
 from repro.osmodel import PagePolicy
 from repro.sim import engine as fast_engine
@@ -240,190 +236,4 @@ def test_stream_batching_speedup():
     )
     assert speedup >= STREAM_TARGET, (
         f"bulk batching {speedup:.2f}x < {STREAM_TARGET}x target"
-    )
-
-
-# --------------------------------------------------------------------------
-# Accel backend benchmarks: the numpy kernels against the pure-Python
-# reference on batch shapes sized like the bulk datapath's, plus an
-# honest per-backend wall-clock of the full STREAM datapath.
-# --------------------------------------------------------------------------
-
-#: Elements per kernel batch (datapath batches are smaller; this sizes
-#: the shapes where vectorization is supposed to pay).
-BACKEND_BATCH = 4096 if SMOKE else 16384
-#: Kernel invocations per timed run (one call is too short to time).
-BACKEND_REPS = 20 if SMOKE else 50
-#: numpy must beat the reference by this factor on >= 2 kernel shapes.
-BACKEND_KERNEL_TARGET = 1.3 if SMOKE else 2.0
-#: Per-backend STREAM regression gate: the numpy backend may not cost
-#: more than ~10% wall-clock over the python reference end to end.
-BACKEND_STREAM_FLOOR = 0.9
-
-
-def _require_numpy_backend():
-    if "numpy" not in accel.available_backends():
-        pytest.skip("numpy backend unavailable")
-
-
-def _backend_shapes():
-    """(name -> kernel invocation) on batch inputs shaped like traffic."""
-    rng = random.Random(13)
-    sizes = [rng.randrange(64, 2081) for _ in range(BACKEND_BATCH)]
-    rate = 9.6969696969e10  # 4x25G after 64B/66B coding
-    entries = [
-        (1 + 16 * index, (index % 2) + 1, 16)
-        for index in range(BACKEND_BATCH // 16)
-    ]
-    starts = [index * 3.3e-8 for index in range(BACKEND_BATCH)]
-    lines = [rng.randrange(1, 64) for _ in range(BACKEND_BATCH)]
-    samples = [rng.random() * 1e-6 for _ in range(BACKEND_BATCH)]
-    return {
-        "serialization_schedule": lambda mod: mod.serialization_schedule(
-            1e-3, sizes, rate
-        ),
-        "frame_digest": lambda mod: mod.frame_digest(7, entries),
-        "bank_service_windows": lambda mod: mod.bank_service_windows(
-            starts, lines, 16, 85e-9, 1.0e-9
-        ),
-        "sort_values": lambda mod: mod.sort_values(samples),
-    }
-
-
-def test_backend_kernel_speedup():
-    _require_numpy_backend()
-    python_mod = accel.get_backend("python")
-    numpy_mod = accel.get_backend("numpy")
-    runs = 2 if SMOKE else 3
-    report = {
-        "batch": BACKEND_BATCH,
-        "reps": BACKEND_REPS,
-        "target": BACKEND_KERNEL_TARGET,
-    }
-    wins = 0
-    for name, shape in _backend_shapes().items():
-        # Differential guard first: a fast wrong kernel is worthless.
-        assert shape(python_mod) == shape(numpy_mod)
-        python_s = _best_of(
-            runs,
-            lambda shape=shape: [
-                shape(python_mod) for _ in range(BACKEND_REPS)
-            ],
-        )
-        numpy_s = _best_of(
-            runs,
-            lambda shape=shape: [
-                shape(numpy_mod) for _ in range(BACKEND_REPS)
-            ],
-        )
-        speedup = python_s / numpy_s
-        report[name] = {
-            "python_s": round(python_s, 6),
-            "numpy_s": round(numpy_s, 6),
-            "speedup": round(speedup, 3),
-        }
-        wins += speedup >= BACKEND_KERNEL_TARGET
-        print(
-            f"{name} (n={BACKEND_BATCH}): {python_s * 1e3:.2f}ms python, "
-            f"{numpy_s * 1e3:.2f}ms numpy ({speedup:.2f}x)"
-        )
-    report["shapes_at_target"] = int(wins)
-    _merge_results("backend_kernels", report)
-    assert wins >= 2, (
-        f"numpy >= {BACKEND_KERNEL_TARGET}x on only {wins}/4 kernel shapes"
-    )
-
-
-def test_backend_bank_service_windows_never_loses():
-    """The numpy backend must never lose to the reference on this kernel.
-
-    ``bank_service_windows`` does one float add and one int min per
-    element — cheaper than the list<->array round-trips at any batch
-    size — so the numpy backend delegates to the reference outright
-    (asserted by identity below). With the code paths identical the
-    effective ratio is pinned at 1.0 by construction; the measured
-    ratio is still recorded so the artifact would expose a future
-    re-vectorization that regresses.
-    """
-    _require_numpy_backend()
-    python_mod = accel.get_backend("python")
-    numpy_mod = accel.get_backend("numpy")
-    same_path = (
-        numpy_mod.bank_service_windows is python_mod.bank_service_windows
-    )
-    shape = _backend_shapes()["bank_service_windows"]
-    assert shape(python_mod) == shape(numpy_mod)
-    runs = 2 if SMOKE else 3
-    python_s = float("inf")
-    numpy_s = float("inf")
-    # Interleaved best-of so host drift biases neither side.
-    for _ in range(runs):
-        python_s = min(python_s, _best_of(1, lambda: [
-            shape(python_mod) for _ in range(BACKEND_REPS)
-        ]))
-        numpy_s = min(numpy_s, _best_of(1, lambda: [
-            shape(numpy_mod) for _ in range(BACKEND_REPS)
-        ]))
-    ratio = python_s / numpy_s
-    effective = 1.0 if same_path else ratio
-    print(
-        f"bank_service_windows (n={BACKEND_BATCH}): "
-        f"{python_s * 1e3:.2f}ms python, {numpy_s * 1e3:.2f}ms numpy "
-        f"({ratio:.2f}x measured, same_code_path={same_path})"
-    )
-    _merge_results(
-        "backend_bank_service_windows",
-        {
-            "batch": BACKEND_BATCH,
-            "reps": BACKEND_REPS,
-            "python_s": round(python_s, 6),
-            "numpy_s": round(numpy_s, 6),
-            "speedup": round(ratio, 3),
-            "same_code_path": same_path,
-        },
-    )
-    assert effective >= 1.0, (
-        f"numpy bank_service_windows loses to the reference: "
-        f"{ratio:.2f}x < 1.0"
-    )
-
-
-def test_backend_stream_parity():
-    """Full-datapath wall-clock per backend, recorded side by side.
-
-    The event loop, not the kernels, dominates STREAM, so numpy is not
-    required to win here — it is required not to *lose* more than the
-    regression budget, proving vectorization never taxes the real
-    datapath.
-    """
-    _require_numpy_backend()
-    runs = 3 if SMOKE else 4
-    _stream_run(batched=True)  # warm-up (current backend; shared state)
-    python_s = float("inf")
-    numpy_s = float("inf")
-    # Interleave the two backends' timed runs so slow host drift
-    # (thermal, cache, GC growth) biases neither side.
-    for _ in range(runs):
-        with accel.use_backend("python"):
-            python_s = min(python_s, _best_of(1, lambda: _stream_run(True)))
-        with accel.use_backend("numpy"):
-            numpy_s = min(numpy_s, _best_of(1, lambda: _stream_run(True)))
-    ratio = python_s / numpy_s
-    print(
-        f"STREAM {STREAM_BYTES >> 10} KiB x2 per backend: "
-        f"{python_s:.3f}s python, {numpy_s:.3f}s numpy ({ratio:.2f}x)"
-    )
-    _merge_results(
-        "backend_stream",
-        {
-            "bytes_each_way": STREAM_BYTES,
-            "python_s": round(python_s, 4),
-            "numpy_s": round(numpy_s, 4),
-            "numpy_speedup": round(ratio, 3),
-            "floor": BACKEND_STREAM_FLOOR,
-        },
-    )
-    assert ratio >= BACKEND_STREAM_FLOOR, (
-        f"numpy backend regressed STREAM: {ratio:.2f}x < "
-        f"{BACKEND_STREAM_FLOOR}x of the python backend"
     )

@@ -14,7 +14,6 @@ Usage::
         --set samples=30000              # fan a target out over a grid
     python -m repro chaos link-kill-failover --seed 7 --out chaos-artifacts
     python -m repro dse --smoke          # fault-campaign DSE + SLO ranking
-    python -m repro backends             # which accel backend is active
     python -m repro serve --port 8080    # control plane over HTTP (asyncio)
     python -m repro loadtest --smoke     # throughput-vs-p99 curves + shed counts
 """
@@ -600,47 +599,6 @@ def _run_sweep(argv) -> int:
                 f"{outcome.spec.kwargs_json}  {preview}"
             )
     print(engine.stats_line())
-    return 0
-
-
-# -- accel backends ---------------------------------------------------------------
-
-
-def _run_backends(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro backends",
-        description=(
-            "Report the accelerated-kernel backend in use: which backend "
-            "REPRO_BACKEND selected, which are importable, the numpy "
-            "version, and why a fallback happened (if one did)."
-        ),
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print the report as one JSON object",
-    )
-    args = parser.parse_args(argv)
-
-    from . import accel
-
-    info = accel.backend_info()
-    if args.json:
-        print(json.dumps(info, sort_keys=True))
-        return 0
-
-    requested = info["requested"] if info["requested"] is not None else "-"
-    env_value = info["env_value"] if info["env_value"] is not None else "(unset)"
-    print(f"selected backend : {info['selected']}")
-    print(f"requested        : {requested}")
-    print(f"{info['env_var']:17s}: {env_value}")
-    print(f"available        : {', '.join(info['available'])}")
-    if info["numpy_version"] is not None:
-        print(f"numpy            : {info['numpy_version']}")
-    else:
-        print(f"numpy            : unavailable ({info['numpy_import_error']})")
-    if info["fallback_reason"] is not None:
-        print(f"fallback         : {info['fallback_reason']}")
     return 0
 
 
@@ -1296,7 +1254,6 @@ _SUBCOMMANDS = {
     "chaos": _run_chaos,
     "cluster": _run_cluster,
     "dse": _run_dse,
-    "backends": _run_backends,
     "serve": _run_serve,
     "loadtest": _run_loadtest,
 }
@@ -1351,11 +1308,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "dse",
         help="fault-campaign design-space exploration with SLO-ranked "
              "decision support (--design factorial|evolve)",
-        add_help=False,
-    )
-    sub.add_parser(
-        "backends",
-        help="report the accel backend in use (REPRO_BACKEND, --json)",
         add_help=False,
     )
     sub.add_parser(

@@ -1,168 +1,6 @@
-"""Selectable accelerated backend for the hot datapath math.
+"""Scalar kernels for the hot datapath math (see :mod:`repro.accel.ops`).
 
-The bulk datapath computes three families of numbers over and over:
-serialization schedules for runs of frames on a link, per-line frame
-digest signatures for CRC coverage, and DRAM bank service windows for
-burst transactions. Each family is expressed here as a *kernel* with
-two interchangeable implementations:
-
-* :mod:`repro.accel.python_backend` — the pure-Python reference. Always
-  available; the semantics every other backend must reproduce
-  bit-for-bit.
-* :mod:`repro.accel.numpy_backend` — numpy batch operations over whole
-  burst/frame batches. Falls back to the scalar formulation below a
-  small batch threshold (where array overhead dominates), and performs
-  the *same float operations in the same association order* above it,
-  so every timestamp, digest and counter is bit-identical to the
-  Python backend (gated by ``tests/test_accel_equivalence.py``).
-
-Selection happens once at import via the ``REPRO_BACKEND`` environment
-variable (``python`` or ``numpy``). Unset, the fastest available
-backend wins (numpy when importable). Requesting ``numpy`` on a host
-without it falls back to ``python`` and records the reason — visible
-via ``python -m repro backends`` and :func:`backend_info`.
-
-The active backend participates in the sweep-cache identity: RunSpec
-fingerprints embed :data:`ops` ``.NAME`` so content-addressed results
-produced by different backends can never be conflated (see
-``repro.sweep.spec``).
+Call sites import ``ops`` and call ``ops.<kernel>`` through the module
+attribute rather than binding the functions, so a profiler that
+replaces a kernel on the module sees every call.
 """
-
-from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-from types import ModuleType
-from typing import Dict, Optional
-
-from ..errors import ReproError
-from . import python_backend
-
-__all__ = [
-    "AccelError",
-    "ops",
-    "available_backends",
-    "get_backend",
-    "select_backend",
-    "backend_info",
-    "use_backend",
-    "ENV_VAR",
-]
-
-#: Environment variable consulted once at import.
-ENV_VAR = "REPRO_BACKEND"
-
-
-class AccelError(ReproError, RuntimeError):
-    """Unknown or unusable backend selection."""
-
-    code = "accel/bad-backend"
-
-
-_BACKENDS: Dict[str, ModuleType] = {python_backend.NAME: python_backend}
-_NUMPY_IMPORT_ERROR: Optional[str] = None
-
-try:
-    from . import numpy_backend
-
-    _BACKENDS[numpy_backend.NAME] = numpy_backend
-except ImportError as error:  # pragma: no cover - depends on host env
-    _NUMPY_IMPORT_ERROR = str(error)
-
-#: Preference order when ``REPRO_BACKEND`` is unset.
-_DEFAULT_ORDER = ("numpy", "python")
-
-#: The active backend module. Hot call sites read ``accel.ops.<kernel>``
-#: through the package attribute so :func:`select_backend` swaps take
-#: effect everywhere at once.
-ops: ModuleType = python_backend
-
-_requested: Optional[str] = None
-_fallback_reason: Optional[str] = None
-
-
-def available_backends() -> Dict[str, ModuleType]:
-    """Importable backends by name (``python`` is always present)."""
-    return dict(_BACKENDS)
-
-
-def get_backend(name: str) -> ModuleType:
-    """Fetch one backend module without activating it (benchmarks)."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise AccelError(
-            f"unknown backend {name!r} (available: "
-            f"{', '.join(sorted(_BACKENDS))})"
-        ) from None
-
-
-def select_backend(name: Optional[str] = None) -> ModuleType:
-    """Activate a backend; ``None`` resolves env var then preference.
-
-    An explicit unknown name is a configuration error and raises
-    :class:`AccelError`. A *known but unavailable* backend (``numpy``
-    without numpy installed) falls back to ``python`` and records the
-    reason, keeping headless/minimal hosts working unattended.
-    """
-    global ops, _requested, _fallback_reason
-    requested = name if name is not None else os.environ.get(ENV_VAR) or None
-    _requested = requested
-    _fallback_reason = None
-
-    if requested is not None:
-        if requested in _BACKENDS:
-            ops = _BACKENDS[requested]
-            return ops
-        if requested == "numpy" and _NUMPY_IMPORT_ERROR is not None:
-            _fallback_reason = (
-                f"numpy backend unavailable ({_NUMPY_IMPORT_ERROR}); "
-                f"fell back to python"
-            )
-            ops = _BACKENDS["python"]
-            return ops
-        raise AccelError(
-            f"unknown backend {requested!r} (available: "
-            f"{', '.join(sorted(_BACKENDS))})"
-        )
-
-    for candidate in _DEFAULT_ORDER:
-        if candidate in _BACKENDS:
-            ops = _BACKENDS[candidate]
-            return ops
-    ops = python_backend  # unreachable: python is always registered
-    return ops
-
-
-def backend_info() -> Dict[str, Optional[str]]:
-    """Selection report for the CLI and observability surfaces."""
-    numpy_version = None
-    if "numpy" in _BACKENDS:
-        numpy_version = _BACKENDS["numpy"].numpy_version()
-    return {
-        "selected": ops.NAME,
-        "requested": _requested,
-        "env_var": ENV_VAR,
-        "env_value": os.environ.get(ENV_VAR) or None,
-        "available": sorted(_BACKENDS),
-        "numpy_version": numpy_version,
-        "numpy_import_error": _NUMPY_IMPORT_ERROR,
-        "fallback_reason": _fallback_reason,
-    }
-
-
-@contextmanager
-def use_backend(name: str):
-    """Temporarily activate ``name`` (differential tests/benchmarks)."""
-    global ops, _requested, _fallback_reason
-    saved = (ops, _requested, _fallback_reason)
-    select_backend(name)
-    try:
-        yield ops
-    finally:
-        ops, _requested, _fallback_reason = saved
-
-
-# Import-time selection: the datapath binds through ``accel.ops`` so
-# this runs before any simulator object is constructed.
-select_backend()

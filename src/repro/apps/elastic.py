@@ -75,10 +75,6 @@ class Elasticsearch:
         self.thread_pool_queued: Dict[str, int] = defaultdict(int)
         self.thread_pool_completed: Dict[str, int] = defaultdict(int)
 
-    @property
-    def shard_count(self) -> int:
-        return len(self.shards)
-
     def shard_of(self, doc_id: int) -> _Shard:
         return self.shards[doc_id % len(self.shards)]
 

@@ -82,9 +82,6 @@ class FixedDatacentre:
         self.tasks_on[index] -= 1
 
     # -- metrics inputs -----------------------------------------------------------------
-    def powered_on(self) -> np.ndarray:
-        return self.tasks_on > 0
-
     def servers_off(self) -> int:
         """Completely unused servers (could be switched off)."""
         return int((self.tasks_on == 0).sum())
@@ -97,10 +94,6 @@ class FixedDatacentre:
     def stranded_memory(self) -> float:
         on = self.tasks_on > 0
         return float(self.mem_free[on].sum())
-
-    @property
-    def total_cpu(self) -> float:
-        return float(self.servers)
 
     @property
     def total_memory(self) -> float:
@@ -206,10 +199,6 @@ class DisaggregatedDatacentre:
 
     def memory_off(self) -> int:
         return int((self.memory_users == 0).sum())
-
-    @property
-    def total_cpu(self) -> float:
-        return float(self.compute_modules)
 
     @property
     def total_memory(self) -> float:

@@ -111,9 +111,6 @@ class HealthMonitor:
             endpoint.add_failure_listener(self._on_endpoint_failure)
             self._wired_endpoints.add(id(endpoint))
 
-    def unwatch(self, attachment_id: int) -> None:
-        self._watches.pop(attachment_id, None)
-
     # -- failure intake ------------------------------------------------------------
     def _on_endpoint_failure(
         self, endpoint, error: RemoteMemoryError

@@ -83,9 +83,6 @@ class AccessControl:
             )
         return role
 
-    def permissions(self, token: Optional[str]) -> FrozenSet[Permission]:
-        return _ROLE_PERMISSIONS[self.role_of(token)]
-
 
 @dataclass
 class PlaneTrust:

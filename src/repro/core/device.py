@@ -107,10 +107,6 @@ class ThymesisFlowDevice:
         assert self.routing.add_channel(llc) == index
         return index
 
-    @property
-    def channel_count(self) -> int:
-        return len(self.llcs)
-
     # -- compute role -------------------------------------------------------------
     def attach_compute(self, bus: SystemBus, window: AddressRange) -> None:
         """Map this device's compute endpoint into a host bus window."""

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
-from .. import accel
+from ..accel import ops
 from ..net.crc import crc32
 from ..net.link import ChannelEndpointView
 from ..obs import trace as _trace
@@ -112,10 +112,9 @@ class Frame:
     def digest(self) -> bytes:
         # A burst segment covers the same per-line headers the unbatched
         # formulation would put on the wire; the CRC protects each of
-        # them. The per-line signature math runs on the active accel
-        # backend (vectorized for large bursts under numpy).
+        # them.
         identity = self.frame_id if self.frame_id is not None else -1
-        return accel.ops.frame_digest(
+        return ops.frame_digest(
             identity,
             [
                 (txn.txn_id, txn.command.value, txn.burst)
@@ -212,15 +211,6 @@ class LlcEndpoint:
                 self.sim.now, txn.base_txn_id, "llc.submit", self.name
             )
         yield self._tx_queue.put(txn)
-
-    def try_submit(self, txn: MemTransaction) -> bool:
-        """Non-blocking submit; False when out of credits."""
-        if not self._credits.try_consume(txn.burst):
-            return False
-        if not self._tx_queue.try_put(txn):
-            self._credits.grant(txn.burst)
-            return False
-        return True
 
     def receive(self):
         """Waitable receive of the next ingress transaction."""

@@ -59,10 +59,6 @@ class RoutingLayer:
         self.sim.process(self._drain(llc, index), name=f"{self.name}.rx{index}")
         return index
 
-    @property
-    def channel_count(self) -> int:
-        return len(self._channels)
-
     def channel(self, index: int) -> LlcEndpoint:
         try:
             return self._channels[index]

@@ -161,9 +161,6 @@ class CacheHierarchy:
     def flush(self) -> int:
         return sum(level.flush() for level in self.levels)
 
-    def miss_ratios(self) -> List[float]:
-        return [1.0 - level.hit_ratio for level in self.levels]
-
 
 #: Default POWER9-like three-level hierarchy (per-core slices simplified).
 def power9_hierarchy() -> CacheHierarchy:

@@ -11,9 +11,8 @@ second-order effects the paper's donor nodes experience.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Generator, Optional
 
-from .. import accel
 from ..obs import trace as _trace
 from ..sim.engine import Simulator
 from ..sim.resources import Resource
@@ -59,24 +58,6 @@ class DramTiming:
 
     def transfer_time(self, size: int) -> float:
         return size / self.bandwidth_bytes_per_s
-
-    def service_schedule(
-        self, starts_s: Sequence[float], line_counts: Sequence[int]
-    ) -> Tuple[List[float], List[int]]:
-        """Batch service windows for many bursts at once.
-
-        Returns ``(completion instants, bank slots held)`` computed on
-        the active accel backend — the vectorized form of what
-        :meth:`DramDevice._access_burst` computes per burst. Used by
-        batch analysis and the per-backend kernel benchmarks.
-        """
-        return accel.ops.bank_service_windows(
-            starts_s,
-            line_counts,
-            self.banks,
-            self.access_latency_s,
-            self.line_transfer_s,
-        )
 
 
 class DramDevice:
@@ -228,9 +209,6 @@ class DramDevice:
     # -- immediate (untimed) access for functional-only paths -------------------
     def read_now(self, address: int, size: int = CACHELINE_BYTES) -> bytes:
         return self.backing.read(address, size)
-
-    def write_now(self, address: int, data: bytes) -> None:
-        self.backing.write(address, data)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DramDevice({self.name!r}, window={self.window!r})"

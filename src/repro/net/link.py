@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from .. import accel
+from ..accel import ops
 from ..obs import trace as _trace
 from ..sim.engine import Simulator
 from ..sim.resources import Store
@@ -159,14 +159,13 @@ class SerialLink:
         # The pump drains every frame queued at its wake-up instant in
         # one pass, computing each frame's wire occupancy analytically
         # instead of sleeping through it. The run's serialization
-        # boundaries come from the accel backend's batch schedule kernel
-        # (numpy cumsum for long runs), which accumulates with the same
-        # float additions in the same order the sleeping formulation
-        # performed, and deliveries are scheduled at those absolute
-        # times — so delivery timestamps (and the fault-injector's
-        # per-frame decision order) are bit-identical across backends
-        # and formulations; the frames just cost two events instead of
-        # four.
+        # boundaries come from the batch schedule kernel, which
+        # accumulates with the same float additions in the same order the
+        # sleeping formulation performed, and deliveries are scheduled at
+        # those absolute times — so delivery timestamps (and the
+        # fault-injector's per-frame decision order) are bit-identical
+        # across formulations; the frames just cost two events instead
+        # of four.
         while True:
             entry = yield self._tx_queue.get()
             # No yields below, so nothing can enqueue mid-drain: taking
@@ -180,7 +179,7 @@ class SerialLink:
             wire_free = self._busy_until
             if wire_free < self.sim.now:
                 wire_free = self.sim.now
-            bounds = accel.ops.serialization_schedule(
+            bounds = ops.serialization_schedule(
                 wire_free,
                 [item[1] for item in entries],
                 self.config.payload_bits_per_s,

@@ -55,10 +55,6 @@ class RunSummary:
         self._sections[-1][1].append((label, rendered))
         return self
 
-    @property
-    def row_count(self) -> int:
-        return sum(len(rows) for _h, rows in self._sections)
-
     def render(self) -> str:
         """Aligned text: a title bar, sections, two padded columns."""
         lines = [f"== {self.title} =="]

@@ -90,10 +90,6 @@ class MmioRegisterFile:
     def write_named(self, name: str, value: int) -> None:
         self.write(self._named(name).offset, value)
 
-    def poke(self, name: str, value: int) -> None:
-        """Set a register value without side effects (hardware-internal)."""
-        self._named(name).value = value & _REGISTER_MASK
-
     def _lookup(self, offset: int) -> MmioRegister:
         if offset % REGISTER_BYTES != 0:
             raise MmioError(f"unaligned MMIO access at {offset:#x}")

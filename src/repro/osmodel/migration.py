@@ -109,6 +109,3 @@ class NumaBalancer:
                 heat[node] *= self.decay
                 if heat[node] < 1e-3:
                     del heat[node]
-
-    def page_heat(self, mapping: Mapping, page_index: int) -> Dict[int, float]:
-        return dict(self._heat.get((mapping.mapping_id, page_index), {}))

@@ -51,10 +51,6 @@ class PerfSample:
     def backend_stall_fraction(self) -> float:
         return self.stalled_cycles_backend / self.cycles
 
-    @property
-    def frontend_stall_fraction(self) -> float:
-        return self.stalled_cycles_frontend / self.cycles
-
 
 class PerfAggregator:
     """Accumulates samples across repeated runs / workload phases."""

@@ -56,10 +56,6 @@ class CpiBreakdown:
         ``stalled-cycles-backend`` / ``cycles``)."""
         return self.backend_stall_cpi / self.total_cpi
 
-    @property
-    def frontend_stall_fraction(self) -> float:
-        return self.frontend_stall_cpi / self.total_cpi
-
 
 class CpiModel:
     """POWER9-flavoured CPI stack with latency-adaptive MLP."""
@@ -152,13 +148,3 @@ class CpiModel:
                 miss_latency, environment.local_latency_s
             ),
         )
-
-    def instructions_per_second(
-        self,
-        profile: AccessProfile,
-        environment: AccessEnvironment,
-        threads: float = 1.0,
-    ) -> float:
-        """Aggregate instruction throughput of ``threads`` busy threads."""
-        breakdown = self.evaluate(profile, environment)
-        return breakdown.ipc * self.frequency_hz * threads

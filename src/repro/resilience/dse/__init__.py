@@ -28,7 +28,7 @@ The pieces:
   (recovery time from the event journal, goodput under faults,
   replayed-vs-lost bytes) and per-cell SLO verdicts;
 * :mod:`~repro.resilience.dse.model` — least-squares effects models
-  with main-effect/interaction ranking (accel-backed solver);
+  with main-effect/interaction ranking (scalar Gaussian-elimination solver);
 * :mod:`~repro.resilience.dse.report` — the decision-support report
   (text/JSON/markdown, byte-identical per seed) behind
   ``python -m repro dse``.

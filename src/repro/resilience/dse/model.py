@@ -12,9 +12,8 @@ directly as *deviation from the grand mean*. Optional pairwise
 interaction terms are products of the main-effect codings. The normal
 equations get a tiny ridge on the diagonal — enough to keep aliased
 columns (fractional designs) solvable without noticeably biasing a
-well-posed fit — and are solved by the accel ``solve_linear_system``
-kernel (numpy-vectorized above the backend's crossover, bit-identical
-to the pure-Python reference by the differential suite).
+well-posed fit — and are solved by Gaussian elimination
+(:func:`repro.accel.ops.solve_linear_system`).
 
 Factor *importance* is the range of its fitted effects (max - min):
 the swing in the response attributable to moving that knob across the
@@ -27,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Tuple
 
-from ... import accel
+from ...accel import ops
 from .factors import DseDesignError
 
 __all__ = ["EffectsModel", "fit_effects"]
@@ -157,7 +156,7 @@ def fit_effects(
                 target[j] += ri * row[j]
     for i in range(width):
         xtx[i][i] += RIDGE
-    beta = accel.ops.solve_linear_system(xtx, xty)
+    beta = ops.solve_linear_system(xtx, xty)
 
     mean = beta[0]
     predictions = [

@@ -27,9 +27,8 @@ Parallelism uses one single-worker ``ProcessPoolExecutor`` per shard
 (domain ``i`` lives on shard ``i % jobs``). A single-worker pool pins
 its domains to one long-lived process, whose module state holds the
 (unpicklable) live simulators between rounds; only the small message
-lists cross process boundaries. Worker bootstrap (backend pinning,
-tracing hygiene) is shared with the sweep pool via
-:mod:`repro.sweep.bootstrap`.
+lists cross process boundaries. Worker bootstrap (tracing hygiene)
+is shared with the sweep pool via :mod:`repro.sweep.bootstrap`.
 
 Domain programs are built from ``(target, kwargs)`` pairs, where
 ``target`` is a ``py:module:function`` string resolved with
@@ -185,7 +184,7 @@ class _PoolShard:
                  builders: Sequence[Tuple[str, Dict[str, Any]]]):
         from concurrent.futures import ProcessPoolExecutor
 
-        from ..sweep.bootstrap import pool_initargs, pool_worker_init
+        from ..sweep.bootstrap import pool_worker_init
 
         self.indices = indices
         self._items = [(i, builders[i][0], builders[i][1]) for i in indices]
@@ -193,7 +192,6 @@ class _PoolShard:
         self.pool = ProcessPoolExecutor(
             max_workers=1,
             initializer=pool_worker_init,
-            initargs=pool_initargs(),
         )
         self._future = None
 

@@ -194,7 +194,6 @@ class Process(_Waitable):
         "result",
         "error",
         "_joiners",
-        "_join_signal",
         "_pending_interrupt",
     )
 
@@ -215,10 +214,6 @@ class Process(_Waitable):
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self._joiners: List[Process] = []
-        #: Created lazily on first access: most processes finish with no
-        #: external observer, and the Signal + f-string name allocation
-        #: showed up hot in datapath profiles.
-        self._join_signal: Optional[Signal] = None
         #: Exception to throw into the generator at the next resume:
         #: an :class:`Interrupt` (via :meth:`interrupt`) or a crashed
         #: dependency's error being propagated to this joiner.
@@ -230,15 +225,6 @@ class Process(_Waitable):
         if not n:
             n = self._name = getattr(self._generator, "__name__", "process")
         return n
-
-    @property
-    def join_signal(self) -> Signal:
-        """Oneshot signal fired with the process result on completion."""
-        if self._join_signal is None:
-            self._join_signal = Signal(name=f"{self.name}.done", oneshot=True)
-            if not self.alive:
-                self._join_signal.fire(self.result)
-        return self._join_signal
 
     # -- waitable protocol -------------------------------------------------
     def _subscribe(self, sim: "Simulator", process: "Process") -> None:
@@ -340,8 +326,6 @@ class Process(_Waitable):
             else:
                 for joiner in joiners:
                     sim._wake(joiner, result)
-        if self._join_signal is not None:
-            self._join_signal.fire(result)
         if error is not None and raise_error and not propagated:
             # Nobody was waiting: surface the crash out of run().
             self.sim._record_crash(self, error)
@@ -583,8 +567,6 @@ class Simulator:
                                             ready.append(
                                                 (next(seq), joiner, result)
                                             )
-                                    if target._join_signal is not None:
-                                        target._join_signal.fire(result)
                                 except BaseException as exc:
                                     target._handle_exception(exc)
                                     if crashed:

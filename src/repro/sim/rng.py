@@ -54,9 +54,6 @@ class SeededRNG:
     def shuffle(self, items: List) -> None:
         self._gen.shuffle(items)
 
-    def sample_indices(self, population: int, count: int) -> List[int]:
-        return list(self._gen.choice(population, size=count, replace=False))
-
     def exponential(self, mean: float) -> float:
         return float(self._gen.exponential(mean))
 
@@ -71,9 +68,6 @@ class SeededRNG:
 
     def bernoulli(self, p: float) -> bool:
         return bool(self._gen.random() < p)
-
-    def integers_array(self, low: int, high: int, size: int) -> np.ndarray:
-        return self._gen.integers(low, high, size=size)
 
     def bytes(self, n: int) -> bytes:
         return self._gen.bytes(n)

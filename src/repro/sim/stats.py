@@ -11,7 +11,7 @@ import math
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .. import accel
+from ..accel import ops
 
 __all__ = [
     "RunningStats",
@@ -249,10 +249,7 @@ class LatencyRecorder:
 
     def _ensure_sorted(self) -> List[float]:
         if not self._is_sorted:
-            # Backend kernel: numpy sorts large sample sets ~2-3x
-            # faster; a sort is a permutation, so the list is identical
-            # whichever backend runs it.
-            self._samples = accel.ops.sort_values(self._samples)
+            self._samples = ops.sort_values(self._samples)
             self._is_sorted = True
         return self._samples
 

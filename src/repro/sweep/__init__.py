@@ -24,7 +24,6 @@ Figure regeneration goes through :func:`run_figures` (the
 from .bootstrap import (
     derive_seed,
     normalize_jobs,
-    pool_initargs,
     pool_worker_init,
     resolve_jobs,
     worker_run_snapshot,
@@ -45,7 +44,6 @@ __all__ = [
     "normalize_jobs",
     "resolve_jobs",
     "pool_worker_init",
-    "pool_initargs",
     "derive_seed",
     "worker_run_snapshot",
     "resolve_target",

@@ -6,10 +6,6 @@ the rack-domain coordinator (:mod:`repro.sim.domains` — shards of *one*
 run). Both need identical worker hygiene, and both used to duplicate
 it; this module is the single source of truth for:
 
-* **Backend pinning** — a worker re-importing ``repro.accel`` would
-  re-resolve ``REPRO_BACKEND`` from its own environment; workers are
-  pinned to the parent's active backend via initargs so every result
-  in one run comes off one code path.
 * **Tracing hygiene** — a worker forked mid-trace would inherit the
   parent's live tracer; every worker starts from a clean
   observability slate.
@@ -28,9 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Union
 
-from .. import accel
 from ..obs import MetricsRegistry, disable_tracing
 
 __all__ = [
@@ -38,7 +33,6 @@ __all__ = [
     "normalize_jobs",
     "resolve_jobs",
     "pool_worker_init",
-    "pool_initargs",
     "derive_seed",
     "worker_run_snapshot",
 ]
@@ -72,24 +66,13 @@ def resolve_jobs(value: Union[int, str, None] = None,
     return normalize_jobs(value)
 
 
-def pool_worker_init(backend_name: Optional[str] = None) -> None:
+def pool_worker_init() -> None:
     """Initializer every pool worker runs before its first task.
 
     A worker forked mid-trace would inherit the parent's live tracer;
-    every task must simulate from a clean observability slate. Spawned
-    workers re-import and would re-resolve ``REPRO_BACKEND`` from
-    their own environment; pin them to the parent's active backend so
-    one run's results all come off one code path (and match the
-    backend recorded in cache fingerprints).
+    every task must simulate from a clean observability slate.
     """
     disable_tracing()
-    if backend_name is not None:
-        accel.select_backend(backend_name)
-
-
-def pool_initargs() -> Tuple[str]:
-    """The initargs matching :func:`pool_worker_init` (parent side)."""
-    return (accel.ops.NAME,)
 
 
 def derive_seed(base: int, *parts: Union[int, str]) -> int:

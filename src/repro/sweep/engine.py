@@ -34,7 +34,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 from ..obs import MetricsRegistry
 from .bootstrap import (
     normalize_jobs,
-    pool_initargs,
     pool_worker_init,
     worker_run_snapshot,
 )
@@ -153,7 +152,6 @@ class SweepEngine:
                 with ProcessPoolExecutor(
                     max_workers=workers,
                     initializer=pool_worker_init,
-                    initargs=pool_initargs(),
                 ) as pool:
                     raw = list(pool.map(execute_payload, payloads))
             else:

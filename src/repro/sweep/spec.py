@@ -24,7 +24,6 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional
 
-from .. import accel
 from .fingerprint import combine_fingerprints, file_digest, source_fingerprint
 
 __all__ = ["RunSpec", "make_spec"]
@@ -93,18 +92,11 @@ def make_spec(
     must be JSON-serializable — tuples become lists, and the target
     sees the round-tripped values, so in-process and subprocess
     execution receive identical arguments.
-
-    The default fingerprint also folds in the active accel backend
-    (``REPRO_BACKEND``): backends are differentially tested to be
-    bit-identical, but the cache must not *assume* that property — a
-    result produced under one backend is never served for a run
-    requested under the other.
     """
     kwargs_json = _canonical_json(kwargs)
     if fingerprint is None:
         fingerprint = combine_fingerprints(
             source_fingerprint(),
-            "backend:" + accel.ops.NAME,
             *[file_digest(path) for path in extra_files],
         )
     return RunSpec(

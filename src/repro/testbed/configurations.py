@@ -22,7 +22,7 @@ place where the §VI-A semantics live:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..mem.address import GIB
@@ -86,9 +86,6 @@ class AccessEnvironment:
     @property
     def uses_thymesisflow(self) -> bool:
         return self.remote_fraction > 0.0
-
-    def with_cores(self, cores_per_instance: int) -> "AccessEnvironment":
-        return replace(self, cores_per_instance=cores_per_instance)
 
     def average_miss_latency(self) -> float:
         """Mean LLC-miss service latency under the NUMA split."""

@@ -44,10 +44,6 @@ class NodeSpec:
     integrated_soc: bool = False
 
     @property
-    def hardware_threads(self) -> int:
-        return self.cpu_count * self.smt_threads
-
-    @property
     def tf_window_bytes(self) -> int:
         return self.tf_window_sections * self.section_bytes
 

@@ -26,7 +26,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..mem.address import CACHELINE_BYTES, GIB
+from ..mem.address import CACHELINE_BYTES
 from ..testbed.configurations import AccessEnvironment, MemoryConfigKind
 
 __all__ = [
@@ -75,10 +75,6 @@ class StreamResult:
     kernel: StreamKernel
     threads: int
     bandwidth_bytes_s: float
-
-    @property
-    def bandwidth_gib_s(self) -> float:
-        return self.bandwidth_bytes_s / GIB
 
 
 class StreamModel:

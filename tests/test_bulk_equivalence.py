@@ -8,7 +8,9 @@ scenarios in both modes and require bit-identical stored bytes,
 bit-identical final simulated time, and identical protocol counters at
 every LLC, DRAM and bus in the testbed — including under injected
 frame loss and corruption, where the replay machinery must fire
-identically in both formulations.
+identically in both formulations. The zero-copy plumbing the burst
+path rides on (split-burst views, backing-store read views) is checked
+directly at the end.
 """
 
 import pytest
@@ -217,3 +219,101 @@ class TestLazyLatencyRecorder:
         ]
         assert recorder.count == len(values)
         assert recorder.mean == pytest.approx(sum(values) / len(values))
+
+
+class TestZeroCopyPlumbing:
+    def test_split_burst_aliases_parent_payload(self):
+        from repro.opencapi.transactions import MemTransaction, split_burst
+
+        blob = bytes(range(256)) * 2  # 4 cachelines
+        txn = MemTransaction.write_burst(0x1000, blob)
+        view = split_burst(txn, 1, 2)
+        assert isinstance(view.data, memoryview)
+        assert view.data.obj is blob  # aliases, not a copy
+        assert bytes(view.data) == blob[128:384]
+        assert view.txn_id == txn.txn_id + 1
+        assert view.address == 0x1000 + 128
+        assert view.burst == 2
+        assert view.burst_offset == 1
+
+    def test_split_burst_of_split_stays_zero_copy(self):
+        from repro.opencapi.transactions import MemTransaction, split_burst
+
+        blob = bytes(range(256)) * 4  # 8 lines
+        txn = MemTransaction.write_burst(0, blob)
+        inner = split_burst(split_burst(txn, 2, 4), 1, 2)
+        assert inner.data.obj is blob
+        assert bytes(inner.data) == blob[3 * 128 : 5 * 128]
+        assert inner.base_txn_id == txn.txn_id
+
+    def test_split_burst_bounds_still_enforced(self):
+        from repro.opencapi.transactions import MemTransaction, split_burst
+
+        txn = MemTransaction.read_burst(0, 4)
+        with pytest.raises(ValueError):
+            split_burst(txn, 3, 2)
+
+    def test_txn_id_reservation_still_consecutive(self):
+        from repro.opencapi.transactions import MemTransaction
+
+        single = MemTransaction.read(0)
+        burst = MemTransaction.read_burst(0, 5)
+        after = MemTransaction.read(0)
+        assert burst.txn_id == single.txn_id + 1
+        assert after.txn_id == burst.txn_id + 5
+
+    def test_addressed_wire_bytes_buffer_fallback(self):
+        from repro.net.packet import Addressed
+
+        assert Addressed(0, b"x" * 200).wire_bytes == 200
+        assert Addressed(0, memoryview(b"y" * 64)[:32]).wire_bytes == 32
+        assert Addressed(0, object()).wire_bytes == 64
+
+        class Sized:
+            wire_bytes = 999
+
+        assert Addressed(0, Sized()).wire_bytes == 999
+
+    def test_backing_read_view_is_zero_copy(self):
+        from repro.mem.address import AddressRange
+        from repro.mem.backing import BackingStore
+
+        store = BackingStore(AddressRange(0, 1 << 20))
+        store.write(0x100, b"\xab" * 64)
+        view = store.read_view(0x100, 64)
+        assert isinstance(view, memoryview)
+        assert view.readonly
+        assert bytes(view) == b"\xab" * 64
+        # The view aliases the live chunk: a later write shows through.
+        store.write(0x100, b"\xcd" * 64)
+        assert bytes(view) == b"\xcd" * 64
+
+    def test_backing_read_view_falls_back_across_chunks(self):
+        from repro.mem.address import AddressRange
+        from repro.mem.backing import BackingStore
+
+        store = BackingStore(AddressRange(0, 1 << 20), chunk_bytes=4096)
+        store.write(4096 - 32, b"\x11" * 64)
+        view = store.read_view(4096 - 32, 64)
+        assert bytes(view) == b"\x11" * 64
+
+    def test_backing_straddling_read_matches_writes(self):
+        from repro.mem.address import AddressRange
+        from repro.mem.backing import BackingStore
+
+        store = BackingStore(AddressRange(0, 1 << 20), chunk_bytes=4096)
+        blob = bytes(range(256)) * 48  # 12 KiB: spans 4 chunks
+        store.write(1000, blob)
+        assert store.read(1000, len(blob)) == blob
+        # Untouched tail still reads as zeros.
+        assert store.read(1000 + len(blob), 64) == bytes(64)
+
+    def test_backing_copy_range_across_stores(self):
+        from repro.mem.address import AddressRange
+        from repro.mem.backing import BackingStore
+
+        src = BackingStore(AddressRange(0, 1 << 20))
+        dst = BackingStore(AddressRange(0, 1 << 20))
+        src.write(0x40, b"\x5a" * 256)
+        src.copy_range(0x40, 0x80, 256, other=dst)
+        assert dst.read(0x80, 256) == b"\x5a" * 256

@@ -1,8 +1,8 @@
 """CLI surface of the telemetry pipeline: ``python -m repro metrics``
 and the chaos mode of ``python -m repro trace``.
 
-Runs the real ``main()`` in-process (same idiom as the backends CLI
-tests) and validates every artifact with the strict parsers.
+Runs the real ``main()`` in-process and validates every artifact with
+the strict parsers.
 """
 
 import io

@@ -2,6 +2,7 @@
 reports numbers through)."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -254,3 +255,45 @@ class TestEdgeCases:
         assert recorder.degradation_at(99) == 0.0
         with pytest.raises(ValueError):
             recorder.percentile(50)
+
+
+class TestStatsAddRepeated:
+    def test_matches_sequential_adds_exactly(self):
+        from repro.sim.stats import RunningStats
+
+        loop = RunningStats("loop")
+        batch = RunningStats("batch")
+        rng = random.Random(3)
+        for _ in range(25):
+            value = rng.random() * 1e-6
+            count = rng.randrange(1, 9)
+            for _ in range(count):
+                loop.add(value)
+            batch.add_repeated(value, count)
+        assert batch.count == loop.count
+        assert batch.total == loop.total
+        assert batch.mean == loop.mean
+        assert batch.variance == loop.variance
+        assert batch.minimum == loop.minimum
+        assert batch.maximum == loop.maximum
+
+    def test_latency_recorder_add_repeated(self):
+        from repro.sim.stats import LatencyRecorder
+
+        loop = LatencyRecorder("loop")
+        batch = LatencyRecorder("batch")
+        for value, count in [(3.0, 4), (1.0, 2), (2.0, 3)]:
+            for _ in range(count):
+                loop.add(value)
+            batch.add_repeated(value, count)
+        assert batch.count == loop.count
+        assert batch.percentile(50) == loop.percentile(50)
+        assert batch.cdf() == loop.cdf()
+
+    def test_zero_and_negative_counts_are_noops(self):
+        from repro.sim.stats import RunningStats
+
+        stats = RunningStats()
+        stats.add_repeated(5.0, 0)
+        stats.add_repeated(5.0, -3)
+        assert stats.count == 0

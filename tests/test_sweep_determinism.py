@@ -101,15 +101,16 @@ class TestRunSpecKeys:
                          partitions=(4, 16))
         assert spec.kwargs == {"workload": "A", "partitions": [4, 16]}
 
-    def test_default_fingerprint_is_source_tree_plus_backend(self):
-        from repro import accel
+    def test_default_fingerprint_is_source_tree(self):
         from repro.sweep.fingerprint import combine_fingerprints
 
         spec = make_spec("slice:rtt.rows", samples=1)
-        assert spec.fingerprint == combine_fingerprints(
-            source_fingerprint(), "backend:" + accel.ops.NAME
-        )
+        assert spec.fingerprint == combine_fingerprints(source_fingerprint())
         assert len(spec.fingerprint) == 64
+
+    def test_explicit_fingerprint_untouched(self):
+        spec = make_spec("slice:fig8.config", fingerprint="pinned")
+        assert spec.fingerprint == "pinned"
 
 
 class TestResultCache:
@@ -244,12 +245,6 @@ class TestSharedBootstrap:
         from repro.sweep import bootstrap, engine
 
         assert engine.normalize_jobs is bootstrap.normalize_jobs
-
-    def test_pool_initargs_pin_current_backend(self):
-        from repro import accel
-        from repro.sweep.bootstrap import pool_initargs
-
-        assert pool_initargs() == (accel.ops.NAME,)
 
     def test_derive_seed_is_stable_and_sensitive(self):
         from repro.sweep.bootstrap import derive_seed
