@@ -26,14 +26,127 @@ import json
 import os
 import sys
 
+from .cluster import (
+    GOOGLE_TRACE_MACHINES,
+    ClusterConfig,
+    run_cluster,
+    write_artifacts,
+)
 from .figures import FIGURES, render
+from .mem import MIB
+from .net.faults import FaultInjector
+from .obs import (
+    MetricsRegistry,
+    RunSummary,
+    SloEngine,
+    disable_events,
+    disable_profiling,
+    disable_tracing,
+    enable_events,
+    enable_profiling,
+    enable_tracing,
+    json_lines,
+    parse_prometheus,
+    parse_slo_specs,
+    render_metrics_summary,
+    render_prometheus,
+    summary_from_snapshot,
+    validate_chrome_trace,
+    write_artifact,
+    write_chrome_trace,
+    write_metrics_json,
+)
+from .osmodel import PagePolicy
+from .resilience import SCENARIOS, run_scenario
+from .sweep import (
+    SweepEngine,
+    make_spec,
+    resolve_jobs,
+    resolve_target,
+    run_figures,
+)
+from .testbed import RemoteBuffer, Testbed
+
+# -- shared option declarations ------------------------------------------------
 
 
-def _run_demo() -> None:
-    from .mem import MIB
-    from .obs import MetricsRegistry, RunSummary, summary_from_snapshot
-    from .testbed import Testbed
+def _positive_int(text: str) -> int:
+    """``type=``: an integer >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not an integer >= 1: {text!r}")
+    return int(text)
 
+
+def _jobs(text: str):
+    """``type=`` for ``--jobs``: a positive integer or ``auto``."""
+    return text if text == "auto" else _positive_int(text)
+
+
+def _workload_bytes(text: str) -> int:
+    """``type=`` for ``--bytes``: rounded down to 256 B, min 256."""
+    value = int(text)
+    return max(256, value - value % 256)
+
+
+def _parse_value(text: str):
+    """JSON if it parses, else the string itself."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def _split_assignment(text: str):
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    return key, value
+
+
+def _key_value(text: str):
+    """``type=`` for ``KEY=VALUE``: ``(key, parsed VALUE)``."""
+    key, value = _split_assignment(text)
+    return key, _parse_value(value)
+
+
+def _key_values(text: str):
+    """``type=`` for ``KEY=V1,V2,...``: ``(key, [parsed values])``."""
+    key, values = _split_assignment(text)
+    return key, [_parse_value(value) for value in values.split(",")]
+
+
+def _add_bytes(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--bytes",
+        type=_workload_bytes,
+        default=128 * 1024,
+        dest="nbytes",
+        help="workload size in bytes (rounded down to 256 B, min 256)",
+    )
+
+
+def _add_slo(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument(
+        "--slo",
+        action="append",
+        default=[],
+        metavar="SPEC",
+        dest="slos",
+        help=help,
+    )
+
+
+def _add_json(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument("--json", action="store_true", help=help)
+
+
+def _add_jobs(parser: argparse.ArgumentParser, help: str) -> None:
+    """``--jobs`` defaults to ``None``: handlers resolve it through
+    :func:`repro.sweep.resolve_jobs`, i.e. ``$SWEEP_JOBS`` or 1."""
+    parser.add_argument("--jobs", type=_jobs, default=None, help=help)
+
+
+def _run_demo(args) -> int:
     testbed = Testbed()
     attachment = testbed.attach("node0", 4 * MIB, memory_host="node1")
     window = testbed.remote_window_range(attachment)
@@ -69,6 +182,7 @@ def _run_demo() -> None:
             prefixes=["bus", "endpoint", "llc", "dram"],
         ).render()
     )
+    return 0
 
 
 # -- traced workloads ------------------------------------------------------------
@@ -76,10 +190,6 @@ def _run_demo() -> None:
 
 def _trace_stream(nbytes: int):
     """STREAM-style bulk transfer: burst write + read-back over the wire."""
-    from .mem import MIB
-    from .osmodel import PagePolicy
-    from .testbed import RemoteBuffer, Testbed
-
     testbed = Testbed()
     attachment = testbed.attach("node0", 4 * MIB, memory_host="node1")
     buffer = RemoteBuffer.allocate(
@@ -98,9 +208,6 @@ def _trace_stream(nbytes: int):
 
 def _trace_pingpong(nbytes: int):
     """Per-cacheline load/store roundtrips (latency-bound)."""
-    from .mem import MIB
-    from .testbed import Testbed
-
     testbed = Testbed()
     attachment = testbed.attach("node0", 4 * MIB, memory_host="node1")
     window = testbed.remote_window_range(attachment)
@@ -114,10 +221,6 @@ def _trace_pingpong(nbytes: int):
 
 def _trace_fault(nbytes: int):
     """Forced frame drops on channel 0 exercising the LLC replay path."""
-    from .mem import MIB
-    from .net.faults import FaultInjector
-    from .testbed import Testbed
-
     injector = FaultInjector()
     testbed = Testbed(fault_injectors={0: injector})
     attachment = testbed.attach("node0", 4 * MIB, memory_host="node1")
@@ -138,76 +241,16 @@ _TRACE_WORKLOADS = {
 }
 
 
-def _run_trace(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro trace",
-        description=(
-            "Run one workload with end-to-end tracing enabled and write "
-            "the Chrome-trace JSON (Perfetto/chrome://tracing), the "
-            "metrics snapshot JSON and a terminal summary. The 'chaos' "
-            "workload traces a resilience scenario (--scenario) and "
-            "additionally writes its event journal."
-        ),
-    )
-    from .resilience import SCENARIOS
-
-    parser.add_argument(
-        "workload",
-        choices=sorted(_TRACE_WORKLOADS) + ["chaos"],
-        nargs="?",
-        help="workload to trace",
-    )
-    parser.add_argument(
-        "--bytes",
-        type=int,
-        default=128 * 1024,
-        dest="nbytes",
-        help="workload size in bytes (rounded down to 256 B, min 256)",
-    )
-    parser.add_argument(
-        "--sample",
-        type=int,
-        default=1,
-        help="trace 1 in N transactions (default: every transaction)",
-    )
-    parser.add_argument(
-        "--scenario",
-        choices=sorted(SCENARIOS),
-        default="link-kill-failover",
-        help="resilience scenario for the chaos workload",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="scenario seed for the chaos workload",
-    )
-    parser.add_argument(
-        "--out",
-        default="trace-artifacts",
-        help="output directory for the exported artifacts",
-    )
-    args = parser.parse_args(argv)
+def _run_trace(args) -> int:
     if args.workload is None:
-        parser.print_help()
+        args.parser.print_help()
         return 0
     if args.workload == "chaos":
         return _trace_chaos(args)
-    nbytes = max(256, args.nbytes - args.nbytes % 256)
 
-    from .obs import (
-        MetricsRegistry,
-        disable_tracing,
-        enable_tracing,
-        render_metrics_summary,
-        write_chrome_trace,
-        write_metrics_json,
-    )
-
-    os.makedirs(args.out, exist_ok=True)
     tracer = enable_tracing(sample_every=args.sample)
     try:
-        testbed = _TRACE_WORKLOADS[args.workload](nbytes)
+        testbed = _TRACE_WORKLOADS[args.workload](args.nbytes)
     finally:
         disable_tracing()
     registry = MetricsRegistry()
@@ -232,38 +275,19 @@ def _run_trace(argv) -> int:
 
 def _trace_chaos(args) -> int:
     """Traced resilience scenario: validated Chrome trace + journal."""
-    from .obs import (
-        chrome_trace,
-        disable_tracing,
-        enable_tracing,
-        validate_chrome_trace,
-    )
-    from .resilience import run_scenario
-
-    os.makedirs(args.out, exist_ok=True)
     tracer = enable_tracing(sample_every=args.sample)
     try:
         result = run_scenario(args.scenario, seed=args.seed)
     finally:
         disable_tracing()
 
-    document = chrome_trace(tracer)
-    count = validate_chrome_trace(document)
-
     stem = f"chaos-{args.scenario}"
     trace_path = os.path.join(args.out, f"trace-{stem}.json")
     metrics_path = os.path.join(args.out, f"metrics-{stem}.json")
     events_path = os.path.join(args.out, f"events-{stem}.jsonl")
-    with open(trace_path, "w") as handle:
-        json.dump(document, handle)
-        handle.write("\n")
-    with open(metrics_path, "w") as handle:
-        json.dump(result["metrics"], handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    with open(events_path, "w") as handle:
-        for event in result["events"]:
-            handle.write(json.dumps(event, sort_keys=True))
-            handle.write("\n")
+    count = validate_chrome_trace(write_chrome_trace(tracer, trace_path))
+    write_artifact(metrics_path, result["metrics"])
+    write_artifact(events_path, json_lines(result["events"]))
 
     verdict = "OK" if result["verified"] else "FAILED"
     print(f"chaos {args.scenario} (seed {args.seed}): {verdict}")
@@ -284,82 +308,17 @@ def _trace_chaos(args) -> int:
 # -- telemetry pipeline -----------------------------------------------------------
 
 
-def _run_metrics(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro metrics",
-        description=(
-            "Run one workload with the full telemetry pipeline enabled "
-            "(metrics registry + structured event log + sim-time "
-            "profiler) and print the registry in Prometheus text "
-            "exposition format. Writes the exposition, the JSON-lines "
-            "event journal and a flame-graph folded-stacks profile; "
-            "--slo evaluates declarative objectives against the final "
-            "registry and exits non-zero on breach."
-        ),
-    )
-    parser.add_argument(
-        "workload",
-        choices=sorted(_TRACE_WORKLOADS),
-        nargs="?",
-        help="workload to run with telemetry on",
-    )
-    parser.add_argument(
-        "--bytes",
-        type=int,
-        default=128 * 1024,
-        dest="nbytes",
-        help="workload size in bytes (rounded down to 256 B, min 256)",
-    )
-    parser.add_argument(
-        "--stride",
-        type=int,
-        default=1024,
-        help="profiler sampling stride in kernel events",
-    )
-    parser.add_argument(
-        "--slo",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        dest="slos",
-        help="SLO spec 'name: metric{k=v,...} op threshold' (repeatable); "
-             "any breach makes the exit code non-zero",
-    )
-    parser.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        help="profiler components to show in the top-N table",
-    )
-    parser.add_argument(
-        "--out",
-        default="metrics-artifacts",
-        help="output directory for the exported artifacts",
-    )
-    args = parser.parse_args(argv)
+def _run_metrics(args) -> int:
     if args.workload is None:
-        parser.print_help()
+        args.parser.print_help()
         return 0
-    nbytes = max(256, args.nbytes - args.nbytes % 256)
-
-    from .obs import (
-        MetricsRegistry,
-        disable_events,
-        disable_profiling,
-        enable_events,
-        enable_profiling,
-        parse_prometheus,
-        render_prometheus,
-    )
-    from .obs.slo import SloEngine, parse_slo_specs
 
     specs = parse_slo_specs(args.slos)
 
-    os.makedirs(args.out, exist_ok=True)
     enable_events()
     enable_profiling(stride=args.stride)
     try:
-        testbed = _TRACE_WORKLOADS[args.workload](nbytes)
+        testbed = _TRACE_WORKLOADS[args.workload](args.nbytes)
     finally:
         profiler = disable_profiling()
 
@@ -383,8 +342,7 @@ def _run_metrics(argv) -> int:
     prom_path = os.path.join(args.out, f"metrics-{args.workload}.prom")
     events_path = os.path.join(args.out, f"events-{args.workload}.jsonl")
     folded_path = os.path.join(args.out, f"profile-{args.workload}.folded")
-    with open(prom_path, "w") as handle:
-        handle.write(exposition)
+    write_artifact(prom_path, exposition)
     log.write_jsonl(events_path)
     profiler.write_folded(folded_path)
 
@@ -411,10 +369,10 @@ def _run_metrics(argv) -> int:
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        default="1",
-        help="worker processes: an integer or 'auto' (= CPU count)",
+    _add_jobs(
+        parser,
+        "worker processes: an integer or 'auto' (= CPU count; default: "
+        "$SWEEP_JOBS or 1)",
     )
     parser.add_argument(
         "--no-cache",
@@ -429,40 +387,18 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _make_engine(args):
-    from .sweep import SweepEngine
-
     return SweepEngine(
-        jobs=args.jobs, cache=not args.no_cache, cache_dir=args.cache_dir
+        jobs=resolve_jobs(args.jobs),
+        cache=not args.no_cache,
+        cache_dir=args.cache_dir,
     )
 
 
-def _run_figures(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro figures",
-        description=(
-            "Regenerate paper figures through the sweep engine: "
-            "independent slices fan out over worker processes and "
-            "cached slices are not recomputed. Output tables are "
-            "byte-identical to the serial figure functions."
-        ),
-    )
-    parser.add_argument(
-        "figures",
-        nargs="*",
-        metavar="figure",
-        help=f"figure ids to regenerate (default: all of "
-             f"{', '.join(sorted(FIGURES))})",
-    )
-    _add_engine_arguments(parser)
-    args = parser.parse_args(argv)
-
-    from .obs import summary_from_snapshot
-    from .sweep import run_figures
-
+def _run_figures(args) -> int:
     names = args.figures or sorted(FIGURES)
     unknown = [name for name in names if name not in FIGURES]
     if unknown:
-        parser.error(
+        args.parser.error(
             f"unknown figure(s): {', '.join(unknown)} "
             f"(choose from {', '.join(sorted(FIGURES))})"
         )
@@ -483,92 +419,16 @@ def _run_figures(argv) -> int:
     return 0
 
 
-def _parse_value(text: str):
-    try:
-        return json.loads(text)
-    except ValueError:
-        return text
-
-
-def _parse_assignment(option: str, text: str):
-    if "=" not in text:
-        raise SystemExit(
-            f"error: {option} expects KEY=VALUE, got {text!r}"
-        )
-    key, _, value = text.partition("=")
-    return key, value
-
-
-def _run_sweep(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro sweep",
-        description=(
-            "Fan one target out over a parameter grid through the "
-            "sweep engine. Targets: 'slice:<name>' (figure slices), "
-            "'figure:<name>' (whole figures), 'py:<module>:<function>' "
-            "(any importable JSON-returning function)."
-        ),
-        epilog=(
-            "example: python -m repro sweep slice:fig8.config "
-            "--sweep kind=local,scale-out --set samples=10000 --jobs 2"
-        ),
-    )
-    parser.add_argument(
-        "target", help="target to run (slice:, figure: or py:module:function)"
-    )
-    parser.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        dest="fixed",
-        help="fixed kwarg for every run (VALUE parsed as JSON, else string)",
-    )
-    parser.add_argument(
-        "--sweep",
-        action="append",
-        default=[],
-        metavar="KEY=V1,V2,...",
-        dest="swept",
-        help="kwarg swept over comma-separated values (cartesian product)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="per-spec seed recorded in the cache key (passed to targets "
-             "that accept a 'seed' kwarg)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print one JSON object per run instead of the table",
-    )
-    _add_engine_arguments(parser)
-    args = parser.parse_args(argv)
-
-    from .sweep import make_spec, resolve_target
-
+def _run_sweep(args) -> int:
     try:
         resolve_target(args.target)
     except (KeyError, ImportError, AttributeError, ValueError) as error:
-        parser.error(str(error))
+        args.parser.error(str(error))
 
-    fixed = dict(
-        (key, _parse_value(value))
-        for key, value in (
-            _parse_assignment("--set", item) for item in args.fixed
-        )
-    )
-    axes = []
-    for item in args.swept:
-        key, values = _parse_assignment("--sweep", item)
-        axes.append(
-            (key, [_parse_value(value) for value in values.split(",")])
-        )
-
-    grids = [dict(zip([k for k, _ in axes], combo))
-             for combo in itertools.product(*[v for _, v in axes])]
+    fixed = dict(args.fixed)
+    keys = [key for key, _ in args.swept]
+    grids = [dict(zip(keys, combo)) for combo in
+             itertools.product(*[values for _, values in args.swept])]
     specs = [
         make_spec(args.target, seed=args.seed, **{**fixed, **grid})
         for grid in grids
@@ -605,41 +465,10 @@ def _run_sweep(argv) -> int:
 # -- chaos engineering -----------------------------------------------------------
 
 
-def _run_chaos(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        description=(
-            "Run one deterministic fault-recovery scenario (seeded "
-            "campaigns, monitored failover, journal replay) and print "
-            "its verdict; optionally write the full JSON result with "
-            "a sorted metrics snapshot for byte-for-byte diffing."
-        ),
-    )
-    from .resilience import SCENARIOS
-
-    parser.add_argument(
-        "scenario",
-        choices=sorted(SCENARIOS),
-        nargs="?",
-        help="scenario to run",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="campaign/workload seed (same seed => identical metrics)",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="directory for the chaos-<scenario>.json artifact",
-    )
-    args = parser.parse_args(argv)
+def _run_chaos(args) -> int:
     if args.scenario is None:
-        parser.print_help()
+        args.parser.print_help()
         return 0
-
-    from .resilience import run_scenario
 
     result = run_scenario(args.scenario, seed=args.seed)
     verdict = "OK" if result["verified"] else "FAILED"
@@ -665,11 +494,8 @@ def _run_chaos(argv) -> int:
             f"journal events"
         )
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"chaos-{args.scenario}.json")
-        with open(path, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_artifact(path, result)
         print(f"result json : {path}")
     return 0 if result["verified"] else 1
 
@@ -677,149 +503,20 @@ def _run_chaos(argv) -> int:
 # -- fault-campaign design-space exploration --------------------------------------
 
 
-def _run_dse(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro dse",
-        description=(
-            "Fault-campaign design-space exploration with "
-            "availability-SLO decision support: build a design over the "
-            "robustness factor space (factorial grid or seeded "
-            "evolutionary search), run every cell through the cached "
-            "sweep engine, judge cells against availability SLOs, and "
-            "write a decision-support report (text + JSON + markdown) "
-            "ranking the SLO-passing configurations by bandwidth cost "
-            "and naming the dominant sensitivity factors."
-        ),
-        epilog=(
-            "examples: python -m repro dse --design factorial "
-            "--factor failover_policy=fast,none --replicates 2; "
-            "python -m repro dse --design evolve --generations 3 "
-            "--population 6 --jobs auto"
-        ),
-    )
-    parser.add_argument(
-        "--design",
-        choices=("factorial", "evolve"),
-        default="factorial",
-        help="design builder: full/fractional factorial grid, or "
-             "seeded evolutionary search (tournament + mutation)",
-    )
-    parser.add_argument(
-        "--factor",
-        action="append",
-        default=[],
-        metavar="NAME=V1,V2,...",
-        dest="factors",
-        help="override one factor's sweep levels (values parsed as "
-             "JSON, else strings); repeatable",
-    )
-    parser.add_argument(
-        "--replicates",
-        type=int,
-        default=1,
-        help="seed replicates per design point (replicate i runs with "
-             "seed base+i)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="base seed: replicate seeds and the evolutionary search "
-             "derive from it",
-    )
-    parser.add_argument(
-        "--fraction",
-        type=int,
-        default=1,
-        help="factorial only: keep a deterministic 1/N lattice slice "
-             "of the full grid",
-    )
-    parser.add_argument(
-        "--phase",
-        type=int,
-        default=0,
-        help="factorial only: which 1/N slice to keep (0..fraction-1)",
-    )
-    parser.add_argument(
-        "--generations", type=int, default=4,
-        help="evolve only: number of generations",
-    )
-    parser.add_argument(
-        "--population", type=int, default=8,
-        help="evolve only: population size",
-    )
-    parser.add_argument(
-        "--tournament", type=int, default=2,
-        help="evolve only: tournament size for parent selection",
-    )
-    parser.add_argument(
-        "--mutation-rate", type=float, default=0.35,
-        help="evolve only: per-factor mutation probability",
-    )
-    parser.add_argument(
-        "--objective",
-        default="bandwidth_cost",
-        help="response minimized among SLO-passing configurations "
-             "(and the evolutionary fitness)",
-    )
-    parser.add_argument(
-        "--slo",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        dest="slos",
-        help="SLO spec 'name: metric{k=v,...} op threshold' "
-             "(repeatable; default: the stock availability objectives)",
-    )
-    parser.add_argument(
-        "--payload-kib",
-        type=int,
-        default=32,
-        help="workload size per cell in KiB",
-    )
-    parser.add_argument(
-        "--campaign-param",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        dest="campaign_params",
-        help="campaign parameter override (e.g. at_s=2e-5) applied to "
-             "every faulted cell; repeatable",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI preset: 2x2x2 factorial (frame_flits x loss_rate x "
-             "failover_policy) with 2 replicates — includes the "
-             "deliberate no-failover canary that breaches the "
-             "availability SLO",
-    )
-    parser.add_argument(
-        "--out",
-        default="dse-artifacts",
-        help="output directory for dse-report.{json,md}",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print the JSON report instead of the text rendering",
-    )
-    _add_engine_arguments(parser)
-    args = parser.parse_args(argv)
-
+def _run_dse(args) -> int:
     from .resilience.dse import (
         CELL_TARGET,
         EvolutionarySearch,
         build_report,
         cells_for,
         default_space,
+        evaluate_cell_slo,
         fractional_factorial,
         full_factorial,
         render_markdown,
         render_text,
     )
     from .resilience.dse.responses import DEFAULT_SLOS
-    from .sweep import make_spec
 
     overrides = {}
     if args.smoke:
@@ -831,23 +528,17 @@ def _run_dse(argv) -> int:
             "failover_policy": ["fast", "none"],
         }
         args.replicates = max(args.replicates, 2)
-    for item in args.factors:
-        key, values = _parse_assignment("--factor", item)
-        overrides[key] = [_parse_value(value) for value in values.split(",")]
-    campaign_params = dict(
-        (key, _parse_value(value))
-        for key, value in (
-            _parse_assignment("--campaign-param", item)
-            for item in args.campaign_params
-        )
-    )
+    overrides.update(args.factors)
+    campaign_params = dict(args.campaign_params)
     slo_lines = args.slos or list(DEFAULT_SLOS)
 
     space = default_space()
     levels = space.levels(overrides)
     engine = _make_engine(args)
 
-    def specs_for(cells):
+    def evaluate(points):
+        """Run every replicate of ``points``; returns the cell records."""
+        cells = cells_for(points, args.replicates, args.seed)
         specs = []
         for cell in cells:
             kwargs = dict(cell.point)
@@ -859,11 +550,6 @@ def _run_dse(argv) -> int:
                 payload_kib=args.payload_kib,
                 **kwargs,
             ))
-        return specs
-
-    def evaluate(cells):
-        """Run cells through the engine; returns judged cell records."""
-        outcomes = engine.run(specs_for(cells))
         return [
             {
                 "point": dict(cell.point),
@@ -871,7 +557,7 @@ def _run_dse(argv) -> int:
                 "replicate": cell.replicate,
                 "value": outcome.value,
             }
-            for cell, outcome in zip(cells, outcomes)
+            for cell, outcome in zip(cells, engine.run(specs))
         ]
 
     design_info = {"kind": args.design, "seed": args.seed,
@@ -886,18 +572,13 @@ def _run_dse(argv) -> int:
             design_info["phase"] = args.phase
         else:
             points = full_factorial(levels)
-        records = evaluate(cells_for(points, args.replicates, args.seed))
+        records = evaluate(points)
     else:
-        from .obs.slo import parse_slo_specs
-        from .resilience.dse import evaluate_cell_slo
-
         specs = parse_slo_specs(slo_lines)
         records = []
 
         def fitness(points):
-            batch = evaluate(
-                cells_for(points, args.replicates, args.seed)
-            )
+            batch = evaluate(points)
             records.extend(batch)
             scores = []
             for point in points:
@@ -944,14 +625,10 @@ def _run_dse(argv) -> int:
         objective=args.objective,
     )
 
-    os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "dse-report.json")
     md_path = os.path.join(args.out, "dse-report.md")
-    with open(json_path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    with open(md_path, "w") as handle:
-        handle.write(render_markdown(report))
+    write_artifact(json_path, report)
+    write_artifact(md_path, render_markdown(report))
 
     if args.json:
         print(json.dumps(report, sort_keys=True))
@@ -967,95 +644,13 @@ def _run_dse(argv) -> int:
 # -- sharded multi-rack cluster replay --------------------------------------------
 
 
-def _run_cluster(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro cluster",
-        description=(
-            "Sharded rack-domain simulation: replay the cluster trace "
-            "as live attach/detach/steal traffic across N rack "
-            "testbeds, each its own simulation domain under "
-            "conservative (Chandy-Misra) time sync. --jobs fans the "
-            "domains out over worker processes; the artifact is "
-            "byte-identical to a serial run for the same config."
-        ),
-        epilog=(
-            "examples: python -m repro cluster --racks 4 --tasks 2000; "
-            "python -m repro cluster --scale 0.013 --jobs 4 --chaos "
-            "--out cluster-artifacts"
-        ),
-    )
-    parser.add_argument(
-        "--racks", type=int, default=4,
-        help="rack domains (each a full packet-switched testbed)",
-    )
-    parser.add_argument(
-        "--nodes", type=int, default=4,
-        help="nodes per rack; first half borrow, second half lend",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=None,
-        help="size the logical-machine fleet as a fraction of the "
-             "Google trace's 12555 machines (overrides --machines)",
-    )
-    parser.add_argument(
-        "--machines", type=int, default=None,
-        help="logical machines across the cluster (default 160)",
-    )
-    parser.add_argument(
-        "--tasks", type=int, default=None,
-        help="trace length; default sizes it from the machine count",
-    )
-    parser.add_argument(
-        "--sample", type=float, default=1.0,
-        help="deterministically keep this fraction of the trace's "
-             "tasks (0 < f <= 1)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=17,
-        help="trace seed (same seed + config => identical artifact)",
-    )
-    parser.add_argument(
-        "--local-fraction", type=float, default=None, metavar="F",
-        help="machine memory that is local; tasks above it lease from "
-             "the rack pool (default 0.1)",
-    )
-    parser.add_argument(
-        "--latency", type=float, default=None, metavar="T",
-        help="one-way inter-rack latency in trace time units — also "
-             "the sync lookahead / window width (default 50)",
-    )
-    parser.add_argument(
-        "--chaos", action="store_true",
-        help="crash each rack's first memory lender mid-run "
-             "(force-detach its leases, remap borrowers)",
-    )
-    parser.add_argument(
-        "--jobs", default=None,
-        help="domain worker processes ('auto' = cpu count; default: "
-             "$SWEEP_JOBS or 1)",
-    )
-    parser.add_argument(
-        "--out", default=None,
-        help="directory for cluster-summary.json + cluster-journal.jsonl",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="print the summary JSON instead of the text rendering",
-    )
-    args = parser.parse_args(argv)
-
-    from .cluster import (
-        GOOGLE_TRACE_MACHINES,
-        ClusterConfig,
-        run_cluster,
-        write_artifacts,
-    )
-    from .sweep import resolve_jobs
-
+def _run_cluster(args) -> int:
     machines = args.machines
     if args.scale is not None:
         if not 0.0 < args.scale <= 1.0:
-            parser.error(f"--scale must be in (0, 1], got {args.scale}")
+            args.parser.error(
+                f"--scale must be in (0, 1], got {args.scale}"
+            )
         machines = max(args.racks, round(GOOGLE_TRACE_MACHINES * args.scale))
     overrides = {}
     if args.local_fraction is not None:
@@ -1128,30 +723,12 @@ def _run_cluster(argv) -> int:
 # -- control-plane server + load test --------------------------------------------
 
 
-def _run_serve(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro serve",
-        description=(
-            "Boot the prototype testbed and serve its control plane "
-            "over HTTP (asyncio, stdlib-only). Prints the issued "
-            "credentials; Ctrl-C drains gracefully."
-        ),
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8080,
-                        help="0 picks an ephemeral port")
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--queue-depth", type=int, default=256,
-                        help="bounded admission-queue depth")
-    args = parser.parse_args(argv)
-
+def _run_serve(args) -> int:
     import asyncio
 
     from .control.api import RestApi
     from .control.qos import QosClass
     from .control.server import ControlServer, ServerConfig
-    from .obs import MetricsRegistry, enable_events
-    from .testbed import Testbed
 
     async def serve() -> None:
         testbed = Testbed()
@@ -1192,33 +769,14 @@ def _run_serve(argv) -> int:
     return 0
 
 
-def _run_loadtest(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro loadtest",
-        description=(
-            "Open-loop load test of the control-plane HTTP server: "
-            "stages of rising request rate against three tenants "
-            "(guaranteed/burstable/best-effort), reporting throughput, "
-            "latency percentiles, the validation-latency CDF, shed "
-            "counts and peak RSS to BENCH_control.json."
-        ),
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="short CI preset (seconds, still sheds)")
-    parser.add_argument("--queue-depth", type=int, default=64)
-    parser.add_argument("--out", default="BENCH_control.json")
-    parser.add_argument("--json", action="store_true",
-                        help="print the full report as JSON")
-    args = parser.parse_args(argv)
-
+def _run_loadtest(args) -> int:
     from .control.loadgen import run_control_benchmark
 
     report = run_control_benchmark(
         smoke=args.smoke, queue_depth=args.queue_depth
     )
     report["preset"] = "smoke" if args.smoke else "full"
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    write_artifact(args.out, report)
 
     if args.json:
         print(json.dumps(report, sort_keys=True))
@@ -1245,18 +803,19 @@ def _run_loadtest(argv) -> int:
 
 # -- entry point -----------------------------------------------------------------
 
-#: Subcommands with their own argv (dispatched before the main parser).
-_SUBCOMMANDS = {
-    "trace": _run_trace,
-    "metrics": _run_metrics,
-    "figures": _run_figures,
-    "sweep": _run_sweep,
-    "chaos": _run_chaos,
-    "cluster": _run_cluster,
-    "dse": _run_dse,
-    "serve": _run_serve,
-    "loadtest": _run_loadtest,
-}
+
+def _run_list(args) -> int:
+    for name, fn in sorted(FIGURES.items()):
+        print(f"{name:6s} {fn.__doc__.strip().splitlines()[0]}")
+    return 0
+
+
+def _run_serial_figures(args) -> int:
+    targets = sorted(FIGURES) if args.command == "all" else [args.command]
+    for name in targets:
+        print(render(FIGURES[name]()))
+        print()
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -1268,87 +827,447 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-    sub.add_parser("list", help="list every regenerable figure")
-    sub.add_parser("all", help="regenerate every figure serially")
+    # ``main`` calls ``args.handler(args)``; ``args.parser`` is the
+    # subcommand's own parser, for its help and its usage errors.
+    cmd = sub.add_parser("list", help="list every regenerable figure")
+    cmd.set_defaults(handler=_run_list)
+    cmd = sub.add_parser("all", help="regenerate every figure serially")
+    cmd.set_defaults(handler=_run_serial_figures)
     for name, fn in sorted(FIGURES.items()):
-        sub.add_parser(name, help=fn.__doc__.strip().splitlines()[0])
-    sub.add_parser("demo", help="attach/detach walk-through with summary")
-    sub.add_parser(
+        cmd = sub.add_parser(name, help=fn.__doc__.strip().splitlines()[0])
+        cmd.set_defaults(handler=_run_serial_figures)
+    cmd = sub.add_parser(
+        "demo", help="attach/detach walk-through with summary"
+    )
+    cmd.set_defaults(handler=_run_demo)
+
+    cmd = sub.add_parser(
         "trace",
         help="traced workload run with Chrome-trace + metrics artifacts",
-        add_help=False,
+        description=(
+            "Run one workload with end-to-end tracing enabled and write "
+            "the Chrome-trace JSON (Perfetto/chrome://tracing), the "
+            "metrics snapshot JSON and a terminal summary. The 'chaos' "
+            "workload traces a resilience scenario (--scenario) and "
+            "additionally writes its event journal."
+        ),
     )
-    sub.add_parser(
+    cmd.set_defaults(handler=_run_trace, parser=cmd)
+    cmd.add_argument(
+        "workload",
+        choices=sorted(_TRACE_WORKLOADS) + ["chaos"],
+        nargs="?",
+        help="workload to trace",
+    )
+    _add_bytes(cmd)
+    cmd.add_argument(
+        "--sample",
+        type=_positive_int,
+        default=1,
+        help="trace 1 in N transactions (default: every transaction)",
+    )
+    cmd.add_argument(
+        "--scenario",
+        choices=sorted(SCENARIOS),
+        default="link-kill-failover",
+        help="resilience scenario for the chaos workload",
+    )
+    cmd.add_argument(
+        "--seed",
+        type=int,
+        default=7,
+        help="scenario seed for the chaos workload",
+    )
+    cmd.add_argument(
+        "--out",
+        default="trace-artifacts",
+        help="output directory for the exported artifacts",
+    )
+
+    cmd = sub.add_parser(
         "metrics",
         help="telemetry run: Prometheus exposition, event log, profiler",
-        add_help=False,
+        description=(
+            "Run one workload with the full telemetry pipeline enabled "
+            "(metrics registry + structured event log + sim-time "
+            "profiler) and print the registry in Prometheus text "
+            "exposition format. Writes the exposition, the JSON-lines "
+            "event journal and a flame-graph folded-stacks profile; "
+            "--slo evaluates declarative objectives against the final "
+            "registry and exits non-zero on breach."
+        ),
     )
-    sub.add_parser(
+    cmd.set_defaults(handler=_run_metrics, parser=cmd)
+    cmd.add_argument(
+        "workload",
+        choices=sorted(_TRACE_WORKLOADS),
+        nargs="?",
+        help="workload to run with telemetry on",
+    )
+    _add_bytes(cmd)
+    cmd.add_argument(
+        "--stride",
+        type=_positive_int,
+        default=1024,
+        help="profiler sampling stride in kernel events",
+    )
+    _add_slo(
+        cmd,
+        "SLO spec 'name: metric{k=v,...} op threshold' (repeatable); "
+        "any breach makes the exit code non-zero",
+    )
+    cmd.add_argument(
+        "--top",
+        type=int,
+        default=10,
+        help="profiler components to show in the top-N table",
+    )
+    cmd.add_argument(
+        "--out",
+        default="metrics-artifacts",
+        help="output directory for the exported artifacts",
+    )
+
+    cmd = sub.add_parser(
         "figures",
         help="parallel, cached figure regeneration (--jobs N, --no-cache)",
-        add_help=False,
+        description=(
+            "Regenerate paper figures through the sweep engine: "
+            "independent slices fan out over worker processes and "
+            "cached slices are not recomputed. Output tables are "
+            "byte-identical to the serial figure functions."
+        ),
     )
-    sub.add_parser(
+    cmd.set_defaults(handler=_run_figures, parser=cmd)
+    cmd.add_argument(
+        "figures",
+        nargs="*",
+        metavar="figure",
+        help=f"figure ids to regenerate (default: all of "
+             f"{', '.join(sorted(FIGURES))})",
+    )
+    _add_engine_arguments(cmd)
+
+    cmd = sub.add_parser(
         "sweep",
         help="fan a target out over a parameter grid (--sweep k=v1,v2)",
-        add_help=False,
+        description=(
+            "Fan one target out over a parameter grid through the "
+            "sweep engine. Targets: 'slice:<name>' (figure slices), "
+            "'figure:<name>' (whole figures), 'py:<module>:<function>' "
+            "(any importable JSON-returning function)."
+        ),
+        epilog=(
+            "example: python -m repro sweep slice:fig8.config "
+            "--sweep kind=local,scale-out --set samples=10000 --jobs 2"
+        ),
     )
-    sub.add_parser(
+    cmd.set_defaults(handler=_run_sweep, parser=cmd)
+    cmd.add_argument(
+        "target", help="target to run (slice:, figure: or py:module:function)"
+    )
+    cmd.add_argument(
+        "--set",
+        action="append",
+        type=_key_value,
+        default=[],
+        metavar="KEY=VALUE",
+        dest="fixed",
+        help="fixed kwarg for every run (VALUE parsed as JSON, else string)",
+    )
+    cmd.add_argument(
+        "--sweep",
+        action="append",
+        type=_key_values,
+        default=[],
+        metavar="KEY=V1,V2,...",
+        dest="swept",
+        help="kwarg swept over comma-separated values (cartesian product)",
+    )
+    cmd.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="per-spec seed recorded in the cache key (passed to targets "
+             "that accept a 'seed' kwarg)",
+    )
+    _add_json(cmd, "print one JSON object per run instead of the table")
+    _add_engine_arguments(cmd)
+
+    cmd = sub.add_parser(
         "chaos",
         help="deterministic fault-recovery scenario (--seed N, --out DIR)",
-        add_help=False,
+        description=(
+            "Run one deterministic fault-recovery scenario (seeded "
+            "campaigns, monitored failover, journal replay) and print "
+            "its verdict; optionally write the full JSON result with "
+            "a sorted metrics snapshot for byte-for-byte diffing."
+        ),
     )
-    sub.add_parser(
+    cmd.set_defaults(handler=_run_chaos, parser=cmd)
+    cmd.add_argument(
+        "scenario",
+        choices=sorted(SCENARIOS),
+        nargs="?",
+        help="scenario to run",
+    )
+    cmd.add_argument(
+        "--seed",
+        type=int,
+        default=7,
+        help="campaign/workload seed (same seed => identical metrics)",
+    )
+    cmd.add_argument(
+        "--out",
+        default=None,
+        help="directory for the chaos-<scenario>.json artifact",
+    )
+
+    cmd = sub.add_parser(
         "cluster",
         help="sharded multi-rack trace replay under conservative time "
              "sync (--racks N, --scale S, --jobs J)",
-        add_help=False,
+        description=(
+            "Sharded rack-domain simulation: replay the cluster trace "
+            "as live attach/detach/steal traffic across N rack "
+            "testbeds, each its own simulation domain under "
+            "conservative (Chandy-Misra) time sync. --jobs fans the "
+            "domains out over worker processes; the artifact is "
+            "byte-identical to a serial run for the same config."
+        ),
+        epilog=(
+            "examples: python -m repro cluster --racks 4 --tasks 2000; "
+            "python -m repro cluster --scale 0.013 --jobs 4 --chaos "
+            "--out cluster-artifacts"
+        ),
     )
-    sub.add_parser(
+    cmd.set_defaults(handler=_run_cluster, parser=cmd)
+    cmd.add_argument(
+        "--racks", type=_positive_int, default=4,
+        help="rack domains (each a full packet-switched testbed)",
+    )
+    cmd.add_argument(
+        "--nodes", type=int, default=4,
+        help="nodes per rack; first half borrow, second half lend",
+    )
+    cmd.add_argument(
+        "--scale", type=float, default=None,
+        help="size the logical-machine fleet as a fraction of the "
+             "Google trace's 12555 machines (overrides --machines)",
+    )
+    cmd.add_argument(
+        "--machines", type=int, default=None,
+        help="logical machines across the cluster (default 160)",
+    )
+    cmd.add_argument(
+        "--tasks", type=int, default=None,
+        help="trace length; default sizes it from the machine count",
+    )
+    cmd.add_argument(
+        "--sample", type=float, default=1.0,
+        help="deterministically keep this fraction of the trace's "
+             "tasks (0 < f <= 1)",
+    )
+    cmd.add_argument(
+        "--seed", type=int, default=17,
+        help="trace seed (same seed + config => identical artifact)",
+    )
+    cmd.add_argument(
+        "--local-fraction", type=float, default=None, metavar="F",
+        help="machine memory that is local; tasks above it lease from "
+             "the rack pool (default 0.1)",
+    )
+    cmd.add_argument(
+        "--latency", type=float, default=None, metavar="T",
+        help="one-way inter-rack latency in trace time units — also "
+             "the sync lookahead / window width (default 50)",
+    )
+    cmd.add_argument(
+        "--chaos", action="store_true",
+        help="crash each rack's first memory lender mid-run "
+             "(force-detach its leases, remap borrowers)",
+    )
+    _add_jobs(
+        cmd,
+        "domain worker processes ('auto' = cpu count; default: "
+        "$SWEEP_JOBS or 1)",
+    )
+    cmd.add_argument(
+        "--out", default=None,
+        help="directory for cluster-summary.json + cluster-journal.jsonl",
+    )
+    _add_json(cmd, "print the summary JSON instead of the text rendering")
+
+    cmd = sub.add_parser(
         "dse",
         help="fault-campaign design-space exploration with SLO-ranked "
              "decision support (--design factorial|evolve)",
-        add_help=False,
+        description=(
+            "Fault-campaign design-space exploration with "
+            "availability-SLO decision support: build a design over the "
+            "robustness factor space (factorial grid or seeded "
+            "evolutionary search), run every cell through the cached "
+            "sweep engine, judge cells against availability SLOs, and "
+            "write a decision-support report (text + JSON + markdown) "
+            "ranking the SLO-passing configurations by bandwidth cost "
+            "and naming the dominant sensitivity factors."
+        ),
+        epilog=(
+            "examples: python -m repro dse --design factorial "
+            "--factor failover_policy=fast,none --replicates 2; "
+            "python -m repro dse --design evolve --generations 3 "
+            "--population 6 --jobs auto"
+        ),
     )
-    sub.add_parser(
+    cmd.set_defaults(handler=_run_dse, parser=cmd)
+    cmd.add_argument(
+        "--design",
+        choices=("factorial", "evolve"),
+        default="factorial",
+        help="design builder: full/fractional factorial grid, or "
+             "seeded evolutionary search (tournament + mutation)",
+    )
+    cmd.add_argument(
+        "--factor",
+        action="append",
+        type=_key_values,
+        default=[],
+        metavar="NAME=V1,V2,...",
+        dest="factors",
+        help="override one factor's sweep levels (values parsed as "
+             "JSON, else strings); repeatable",
+    )
+    cmd.add_argument(
+        "--replicates",
+        type=_positive_int,
+        default=1,
+        help="seed replicates per design point (replicate i runs with "
+             "seed base+i)",
+    )
+    cmd.add_argument(
+        "--seed",
+        type=int,
+        default=7,
+        help="base seed: replicate seeds and the evolutionary search "
+             "derive from it",
+    )
+    cmd.add_argument(
+        "--fraction",
+        type=int,
+        default=1,
+        help="factorial only: keep a deterministic 1/N lattice slice "
+             "of the full grid",
+    )
+    cmd.add_argument(
+        "--phase",
+        type=int,
+        default=0,
+        help="factorial only: which 1/N slice to keep (0..fraction-1)",
+    )
+    cmd.add_argument(
+        "--generations", type=_positive_int, default=4,
+        help="evolve only: number of generations",
+    )
+    cmd.add_argument(
+        "--population", type=int, default=8,
+        help="evolve only: population size",
+    )
+    cmd.add_argument(
+        "--tournament", type=_positive_int, default=2,
+        help="evolve only: tournament size for parent selection",
+    )
+    cmd.add_argument(
+        "--mutation-rate", type=float, default=0.35,
+        help="evolve only: per-factor mutation probability",
+    )
+    cmd.add_argument(
+        "--objective",
+        default="bandwidth_cost",
+        help="response minimized among SLO-passing configurations "
+             "(and the evolutionary fitness)",
+    )
+    _add_slo(
+        cmd,
+        "SLO spec 'name: metric{k=v,...} op threshold' "
+        "(repeatable; default: the stock availability objectives)",
+    )
+    cmd.add_argument(
+        "--payload-kib",
+        type=int,
+        default=32,
+        help="workload size per cell in KiB",
+    )
+    cmd.add_argument(
+        "--campaign-param",
+        action="append",
+        type=_key_value,
+        default=[],
+        metavar="KEY=VALUE",
+        dest="campaign_params",
+        help="campaign parameter override (e.g. at_s=2e-5) applied to "
+             "every faulted cell; repeatable",
+    )
+    cmd.add_argument(
+        "--smoke",
+        action="store_true",
+        help="CI preset: 2x2x2 factorial (frame_flits x loss_rate x "
+             "failover_policy) with 2 replicates — includes the "
+             "deliberate no-failover canary that breaches the "
+             "availability SLO",
+    )
+    cmd.add_argument(
+        "--out",
+        default="dse-artifacts",
+        help="output directory for dse-report.{json,md}",
+    )
+    _add_json(cmd, "print the JSON report instead of the text rendering")
+    _add_engine_arguments(cmd)
+
+    cmd = sub.add_parser(
         "serve",
         help="serve the control plane over HTTP (--port, --workers)",
-        add_help=False,
+        description=(
+            "Boot the prototype testbed and serve its control plane "
+            "over HTTP (asyncio, stdlib-only). Prints the issued "
+            "credentials; Ctrl-C drains gracefully."
+        ),
     )
-    sub.add_parser(
+    cmd.set_defaults(handler=_run_serve, parser=cmd)
+    cmd.add_argument("--host", default="127.0.0.1")
+    cmd.add_argument("--port", type=int, default=8080,
+                        help="0 picks an ephemeral port")
+    cmd.add_argument("--workers", type=_positive_int, default=4)
+    cmd.add_argument("--queue-depth", type=_positive_int, default=256,
+                        help="bounded admission-queue depth")
+
+    cmd = sub.add_parser(
         "loadtest",
         help="throughput-vs-latency load test of the control-plane "
              "server (--smoke, --out BENCH_control.json)",
-        add_help=False,
+        description=(
+            "Open-loop load test of the control-plane HTTP server: "
+            "stages of rising request rate against three tenants "
+            "(guaranteed/burstable/best-effort), reporting throughput, "
+            "latency percentiles, the validation-latency CDF, shed "
+            "counts and peak RSS to BENCH_control.json."
+        ),
     )
+    cmd.set_defaults(handler=_run_loadtest, parser=cmd)
+    cmd.add_argument("--smoke", action="store_true",
+                        help="short CI preset (seconds, still sheds)")
+    cmd.add_argument("--queue-depth", type=_positive_int, default=64)
+    cmd.add_argument("--out", default="BENCH_control.json")
+    _add_json(cmd, "print the full report as JSON")
     return parser
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # Subcommands with options of their own get the raw argv tail; the
-    # main parser only ever sees the simple single-token commands.
-    if argv and argv[0] in _SUBCOMMANDS:
-        return _SUBCOMMANDS[argv[0]](list(argv[1:]))
     parser = _build_parser()
     args = parser.parse_args(argv)
-
     if args.command is None:
         parser.print_help()
         return 2
-    if args.command == "list":
-        for name, fn in sorted(FIGURES.items()):
-            print(f"{name:6s} {fn.__doc__.strip().splitlines()[0]}")
-        return 0
-    if args.command == "demo":
-        _run_demo()
-        return 0
-    targets = sorted(FIGURES) if args.command == "all" else [args.command]
-    for name in targets:
-        print(render(FIGURES[name]()))
-        print()
-    return 0
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -16,11 +16,10 @@ return value, never in the artifact.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Dict, Optional, Tuple
 
-from ..obs import MetricsRegistry
+from ..obs import MetricsRegistry, json_lines, write_artifact
 from ..obs.events import merge_event_streams
 from ..sim.domains import DomainCoordinator
 from .topology import TASK_CLASSES, ClusterConfig, cluster_trace_events
@@ -117,15 +116,10 @@ def write_artifacts(artifact: Dict[str, Any], out_dir: str) -> Dict[str, str]:
     newline) so two runs of the same config produce files ``cmp`` can
     diff byte-for-byte — the CI determinism gate.
     """
-    os.makedirs(out_dir, exist_ok=True)
     summary = {key: value for key, value in artifact.items()
                if key != "journal"}
     summary_path = os.path.join(out_dir, "cluster-summary.json")
-    with open(summary_path, "w") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     journal_path = os.path.join(out_dir, "cluster-journal.jsonl")
-    lines = [json.dumps(record, sort_keys=True)
-             for record in artifact["journal"]]
-    with open(journal_path, "w") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    write_artifact(summary_path, summary)
+    write_artifact(journal_path, json_lines(artifact["journal"]))
     return {"summary": summary_path, "journal": journal_path}

@@ -15,7 +15,8 @@ The cooperating pieces (see ``docs/observability.md``):
 * :mod:`repro.obs.export` — exporters: Chrome ``trace_event`` JSON
   (loadable in Perfetto / chrome://tracing), a flat metrics snapshot
   dict/JSON, and a human-readable end-of-run summary table built on
-  :mod:`repro.obs.summary`.
+  :mod:`repro.obs.summary` — plus :func:`~repro.obs.export.write_artifact`,
+  the one atomic writer behind every file the package emits.
 * :mod:`repro.obs.promtext` — Prometheus text-format exposition of the
   registry plus the strict parser the tests round-trip through.
 * :mod:`repro.obs.events` — a bounded structured event journal
@@ -58,8 +59,10 @@ from .metrics import (
 from .summary import RunSummary, summary_from_snapshot
 from .export import (
     chrome_trace,
+    json_lines,
     render_metrics_summary,
     validate_chrome_trace,
+    write_artifact,
     write_chrome_trace,
     write_metrics_json,
 )
@@ -114,6 +117,8 @@ __all__ = [
     "validate_chrome_trace",
     "write_metrics_json",
     "render_metrics_summary",
+    "write_artifact",
+    "json_lines",
     "CONTENT_TYPE",
     "PromParseError",
     "render_prometheus",

@@ -27,6 +27,8 @@ import json
 from collections import deque
 from typing import Any, Deque, Dict, Iterator, List, Optional
 
+from .export import json_lines, write_artifact
+
 __all__ = [
     "Event",
     "EventLog",
@@ -110,15 +112,10 @@ class EventLog:
         return [event.as_dict() for event in self._events]
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(event.as_dict(), sort_keys=True)
-            for event in self._events
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return json_lines(self.to_dicts())
 
     def write_jsonl(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_jsonl())
+        write_artifact(path, self.to_jsonl())
 
 
 def validate_event_jsonl(text: str) -> int:

@@ -1,4 +1,6 @@
-"""Exporters: Chrome ``trace_event`` JSON, metrics JSON, summary text.
+"""Exporters: Chrome ``trace_event`` JSON, metrics JSON, summary text,
+and :func:`write_artifact`, the one atomic writer every file artifact
+of the package goes through.
 
 The Chrome trace format (loadable in Perfetto or ``chrome://tracing``)
 is a JSON object with a ``traceEvents`` list. We emit:
@@ -21,13 +23,17 @@ Stdlib-only, like the rest of ``repro.obs``.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Union
+import os
+import uuid
+from typing import Any, Dict, Iterable, List, Union
 
 from .metrics import MetricsRegistry
 from .summary import summary_from_snapshot
 from .trace import Tracer
 
 __all__ = [
+    "write_artifact",
+    "json_lines",
     "chrome_trace",
     "write_chrome_trace",
     "validate_chrome_trace",
@@ -139,10 +145,45 @@ def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
     }
 
 
+def write_artifact(path: str, data: Any) -> str:
+    """Write one artifact file atomically; returns ``path``.
+
+    A ``str`` is written as is; any other value in the one canonical
+    JSON form (``indent=2``, sorted keys, trailing newline), so reruns
+    of a deterministic experiment diff byte-for-byte. The bytes go to a
+    temp file in the target directory (created if missing), which then
+    replaces ``path``: readers never see a torn file, and a failed
+    write leaves the previous file intact and no temp file behind.
+    """
+    if not isinstance(data, str):
+        data = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    # A uuid name opened with open(): tempfile's secure temp files are
+    # created 0600, whereas artifacts should get the umask's mode.
+    tmp_path = os.path.join(directory, f".tmp-{uuid.uuid4().hex}")
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as handle:
+            handle.write(data)
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
+    return path
+
+
+def json_lines(records: Iterable[Any]) -> str:
+    """JSON-lines text: one compact sorted-key object per line."""
+    return "".join(json.dumps(record, sort_keys=True) + "\n"
+                   for record in records)
+
+
 def write_chrome_trace(tracer: Tracer, path: str) -> Dict[str, Any]:
     document = chrome_trace(tracer)
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=1)
+    write_artifact(path, document)
     return document
 
 
@@ -206,8 +247,7 @@ def validate_chrome_trace(document: TraceDoc) -> int:
 
 def write_metrics_json(registry: MetricsRegistry, path: str) -> Dict[str, float]:
     snapshot = registry.snapshot()
-    with open(path, "w") as handle:
-        json.dump(snapshot, handle, indent=2, sort_keys=True)
+    write_artifact(path, snapshot)
     return snapshot
 
 

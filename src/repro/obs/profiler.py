@@ -26,6 +26,7 @@ from __future__ import annotations
 import time as _time
 from typing import Any, Dict, List, Optional, Tuple
 
+from .export import write_artifact
 from .summary import RunSummary
 
 __all__ = [
@@ -142,8 +143,7 @@ class SimProfiler:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def write_folded(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.folded())
+        write_artifact(path, self.folded())
 
     def top_table(self, n: int = 10) -> RunSummary:
         """Top-N components by attributed sim-time as a RunSummary."""

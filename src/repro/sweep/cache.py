@@ -10,7 +10,8 @@ current tree.
 
 The default root is ``benchmarks/results/cache/`` at the repository
 root (override with the ``REPRO_SWEEP_CACHE`` environment variable or
-the ``root`` argument). Writes are atomic (temp file + ``os.replace``)
+the ``root`` argument). Writes go through
+:func:`repro.obs.write_artifact` — atomic (temp file + ``os.replace``),
 so parallel writers and readers never observe torn JSON.
 """
 
@@ -18,9 +19,9 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Any, Dict, List, Optional
 
+from ..obs import write_artifact
 from .spec import RunSpec
 
 __all__ = ["ResultCache", "default_cache_dir"]
@@ -76,7 +77,6 @@ class ResultCache:
     # -- write side ------------------------------------------------------------
     def put(self, spec: RunSpec, result: Any, elapsed_s: float) -> str:
         """Persist one result atomically; returns the file path."""
-        os.makedirs(self.root, exist_ok=True)
         envelope = {
             "key": spec.key,
             "target": spec.target,
@@ -86,21 +86,7 @@ class ResultCache:
             "elapsed_s": round(elapsed_s, 6),
             "result": result,
         }
-        path = self._path(spec.key)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(envelope, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        path = write_artifact(self._path(spec.key), envelope)
         self.writes += 1
         return path
 

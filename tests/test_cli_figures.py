@@ -2,7 +2,17 @@
 
 import pytest
 
+from repro.__main__ import _build_parser
 from repro.figures import FIGURES, fig5, fig8, render, rtt
+
+
+def _subcommands():
+    """Every subcommand name registered on the ``python -m repro`` tree."""
+    (commands,) = [
+        action for action in _build_parser()._actions
+        if action.dest == "command"
+    ]
+    return list(commands.choices)
 
 
 class TestFigures:
@@ -82,8 +92,7 @@ class TestCliHelp:
         for figure in FIGURES:
             assert figure in out, figure
 
-    @pytest.mark.parametrize("command", ["trace", "figures", "sweep",
-                                         "cluster"])
+    @pytest.mark.parametrize("command", _subcommands())
     def test_subcommand_help(self, command, capsys):
         from repro.__main__ import main
 
@@ -140,3 +149,36 @@ class TestCliSweepEngine:
 
         with pytest.raises(SystemExit):
             main(["sweep", "bogus-target", "--cache-dir", str(tmp_path)])
+
+    def test_jobs_falls_back_to_sweep_jobs_env(self, capsys, monkeypatch):
+        from repro.__main__ import main
+
+        monkeypatch.setenv("SWEEP_JOBS", "2")
+        assert main([
+            "sweep", "slice:fig5.threads", "--set", "count=4", "--no-cache",
+        ]) == 0
+        stats = capsys.readouterr().out.splitlines()[-1]
+        assert stats.startswith("sweep:") and "jobs=2" in stats
+
+
+class TestCliUsageErrors:
+    """Bad option values end in a usage error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "slice:fig5.threads", "--no-cache", "--jobs", "0"],
+        ["cluster", "--jobs", "abc"],
+        ["trace", "stream", "--sample", "0"],
+        ["metrics", "stream", "--stride", "0"],
+        ["dse", "--replicates", "0"],
+        ["loadtest", "--queue-depth", "0"],
+        ["sweep", "slice:fig5.threads", "--set", "count"],
+        ["dse", "--factor", "loss_rate"],
+    ])
+    def test_bad_value_is_a_usage_error(self, argv, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"usage: python -m repro {argv[0]}" in err
