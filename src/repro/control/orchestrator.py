@@ -340,13 +340,14 @@ class ControlPlane:
     ) -> Attachment:
         """Plan/reserve/apply once the request has been admitted."""
         section_bytes = record.agent.kernel.section_bytes
+        channels = 2 if bonded else 1
         if memory_host is None:
-            memory_host = self.planner.pick_donor(compute_host, size)
+            memory_host = self.planner.pick_donor(
+                compute_host, size, channels=channels
+            )
         donor_record = self._host(memory_host)
 
-        path = self.planner.plan(
-            compute_host, memory_host, channels=2 if bonded else 1
-        )
+        path = self.planner.plan(compute_host, memory_host, channels=channels)
         try:
             self.state.reserve_donor_memory(memory_host, size)
         except GraphError:

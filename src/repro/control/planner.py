@@ -10,18 +10,31 @@ suitable configurations and pushes them to the appropriate agents."
 Paths are ranked by hop count (fewer switch crossings = lower RTT) and
 then by how loaded their transceivers are, which spreads flows across
 channels.
+
+The search is a depth-first walk from the compute endpoint in adjacency
+order, bounded by each node's hop distance to the memory endpoint
+through nodes a path may cross: a subtree is entered only if a path of
+at most :data:`MAX_PATH_EDGES` edges through it can still reach the
+target. Every pruned subtree holds no usable path, and the walk visits
+the kept ones in the order an exhaustive simple-path enumeration would,
+so the ranked list is the same as enumerating and filtering every
+simple path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Tuple
 
 from .graph import GraphError, NodeKind, StateGraph
 
 __all__ = ["PathPlanner", "PlannedPath", "NoPathError"]
+
+#: Longest cep→mep path considered, in edges. A direct cable is 3 edges,
+#: one switch crossing 5; 6 admits a detour through a third switch port.
+MAX_PATH_EDGES = 6
+
+_ENDPOINTS = (NodeKind.COMPUTE_ENDPOINT, NodeKind.MEMORY_ENDPOINT)
 
 
 class NoPathError(GraphError):
@@ -64,7 +77,12 @@ class PathPlanner:
     def candidate_paths(
         self, compute_host: str, memory_host: str
     ) -> List[List[str]]:
-        """All simple cep→mep paths with free capacity, best first."""
+        """All simple cep→mep paths with free capacity, best first.
+
+        A usable path has at most :data:`MAX_PATH_EDGES` edges and
+        crosses only transceivers and switch ports with free capacity
+        (paths must not tunnel through other endpoints).
+        """
         graph = self.state.graph
         source = self.state.cep(compute_host)
         target = self.state.mep(memory_host)
@@ -72,21 +90,25 @@ class PathPlanner:
             raise NoPathError(
                 f"unknown endpoint(s): {compute_host!r} / {memory_host!r}"
             )
+        adjacency = graph.adj
+        hops = self._hops_to(target)
         usable = []
-        try:
-            paths = nx.all_simple_paths(graph, source, target, cutoff=6)
-        except nx.NetworkXError as exc:  # pragma: no cover - defensive
-            raise NoPathError(str(exc)) from exc
-        for path in paths:
-            middle = path[1:-1]
-            if any(
-                graph.nodes[node]["kind"]
-                in (NodeKind.COMPUTE_ENDPOINT, NodeKind.MEMORY_ENDPOINT)
-                for node in middle
+        path = [source]
+        stack = [iter(adjacency[source])]
+        while stack:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+                path.pop()
+            elif node == target:
+                usable.append(path + [target])
+            elif (
+                node in hops
+                and len(path) + hops[node] <= MAX_PATH_EDGES
+                and node not in path
             ):
-                continue  # paths must not tunnel through other endpoints
-            if all(self.state.free_capacity(node) > 0 for node in middle):
-                usable.append(path)
+                path.append(node)
+                stack.append(iter(adjacency[node]))
         usable.sort(
             key=lambda p: (
                 len(p),
@@ -94,6 +116,53 @@ class PathPlanner:
             )
         )
         return usable
+
+    def _hops_to(self, target: str) -> Dict[str, int]:
+        """Fewest edges from each passable node to ``target``.
+
+        Breadth-first from ``target`` through passable nodes only: not
+        an endpoint, free capacity > 0. Nodes farther than a path of
+        :data:`MAX_PATH_EDGES` edges could use are left out, as are
+        impassable ones.
+        """
+        adjacency = self.state.graph.adj
+        nodes = self.state.graph.nodes
+        hops = {target: 0}
+        frontier = [target]
+        for depth in range(1, MAX_PATH_EDGES):
+            reached = []
+            for node in frontier:
+                for neighbor in adjacency[node]:
+                    if (
+                        neighbor not in hops
+                        and nodes[neighbor]["kind"] not in _ENDPOINTS
+                        and self.state.free_capacity(neighbor) > 0
+                    ):
+                        hops[neighbor] = depth
+                        reached.append(neighbor)
+            frontier = reached
+        return hops
+
+    def _disjoint_paths(
+        self, compute_host: str, memory_host: str, channels: int
+    ) -> List[List[str]]:
+        """Up to ``channels`` node-disjoint candidate paths, best first.
+
+        Greedy over :meth:`candidate_paths`: a path is taken unless it
+        shares a transceiver or switch port with one already taken
+        (bonded channels must be physically disjoint).
+        """
+        chosen: List[List[str]] = []
+        used: set = set()
+        for path in self.candidate_paths(compute_host, memory_host):
+            middle = set(path[1:-1])
+            if middle & used:
+                continue
+            chosen.append(path)
+            used |= middle
+            if len(chosen) == channels:
+                break
+        return chosen
 
     # -- reservation -------------------------------------------------------------------
     def plan(
@@ -111,16 +180,7 @@ class PathPlanner:
             raise GraphError(f"channels must be >= 1: {channels}")
         if compute_host == memory_host:
             raise GraphError("compute and memory host must differ")
-        chosen: List[List[str]] = []
-        used_transceivers: set = set()
-        for path in self.candidate_paths(compute_host, memory_host):
-            middle = set(path[1:-1])
-            if middle & used_transceivers:
-                continue  # bonded channels must be physically disjoint
-            chosen.append(path)
-            used_transceivers |= middle
-            if len(chosen) == channels:
-                break
+        chosen = self._disjoint_paths(compute_host, memory_host, channels)
         if len(chosen) < channels:
             raise NoPathError(
                 f"only {len(chosen)} disjoint path(s) from "
@@ -168,9 +228,14 @@ class PathPlanner:
 
     # -- donor selection ----------------------------------------------------------------
     def pick_donor(
-        self, compute_host: str, size: int, exclude: Tuple[str, ...] = ()
+        self,
+        compute_host: str,
+        size: int,
+        exclude: Tuple[str, ...] = (),
+        channels: int = 1,
     ) -> str:
-        """Choose the donor with the most free memory that is reachable."""
+        """Choose the donor with the most free memory that is reachable
+        over ``channels`` disjoint paths (2 = a bonded attach)."""
         best: Optional[Tuple[int, str]] = None
         for host in self.state.hosts():
             if host == compute_host or host in exclude:
@@ -178,7 +243,8 @@ class PathPlanner:
             free = self.state.donor_free(host)
             if free < size:
                 continue
-            if not self.candidate_paths(compute_host, host):
+            paths = self._disjoint_paths(compute_host, host, channels)
+            if len(paths) < channels:
                 continue
             if best is None or free > best[0]:
                 best = (free, host)

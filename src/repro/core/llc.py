@@ -22,7 +22,6 @@ stack exactly as specified:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
@@ -82,9 +81,6 @@ class LlcConfig:
         return self.flits_per_frame * FLIT_BYTES + FRAME_HEADER_BYTES
 
 
-_frame_seq = itertools.count()
-
-
 @dataclass
 class Frame:
     """One LLC frame on the wire."""
@@ -99,7 +95,6 @@ class Frame:
     is_replay: bool = False
     wire_bytes: int = 0
     sent_at: float = 0.0
-    uid: int = field(default_factory=lambda: next(_frame_seq))
 
     @property
     def is_control(self) -> bool:

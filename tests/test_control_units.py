@@ -160,6 +160,23 @@ class TestPathPlanner:
         with pytest.raises(NoPathError):
             planner.pick_donor("a", 10_000)
 
+    def test_pick_donor_for_bonding_needs_two_disjoint_paths(self):
+        state = StateGraph()
+        state.add_host("a", transceivers=3)
+        state.add_host("b", transceivers=2, donor_capacity_bytes=100)
+        state.add_host("c", transceivers=2, donor_capacity_bytes=500)
+        state.add_cable(state.xcvr("a", 0), state.xcvr("b", 0))
+        state.add_cable(state.xcvr("a", 1), state.xcvr("b", 1))
+        state.add_cable(state.xcvr("a", 2), state.xcvr("c", 0))
+        planner = PathPlanner(state)
+        assert planner.pick_donor("a", 50) == "c"
+        with pytest.raises(NoPathError):
+            planner.plan("a", "c", channels=2)
+        assert planner.pick_donor("a", 50, channels=2) == "b"
+        assert planner.plan("a", "b", channels=2).bonded
+        with pytest.raises(NoPathError):
+            planner.pick_donor("a", 200, channels=2)
+
 
 class TestAgentMechanics:
     def make_agent(self):

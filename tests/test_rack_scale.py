@@ -109,6 +109,18 @@ class TestRackTestbed:
         assert attachment.memory_host != "node1"
         rack.detach(attachment)
 
+    def test_bonded_auto_donor_skips_donor_that_cannot_bond(self):
+        rack = RackTestbed(nodes=3)
+        state = rack.plane.state
+        full = state.xcvr("node1", 1)
+        while state.free_capacity(full) > 0:
+            state.reserve([full])
+        # node1 ties node2 on free memory and comes first, but with one
+        # usable transceiver it cannot carry a bonded attach.
+        attachment = rack.attach("node0", 1 * MIB, bonded=True)
+        assert attachment.memory_host == "node2"
+        assert attachment.path.bonded
+
     def test_detach_releases_ports_for_new_pairs(self, rack):
         # Saturate node0's two channels with two circuits...
         a = rack.attach("node0", 1 * MIB, memory_host="node1")
