@@ -1,8 +1,9 @@
 """Cluster replay engine: rack domains under the domain coordinator.
 
 Glue between :mod:`repro.cluster.topology` (what one rack does) and
-:mod:`repro.sim.domains` (how racks advance together): build one
-domain per rack, hand the coordinator the trace horizon and the
+:mod:`repro.sim.domains` (how racks advance together): synthesize the
+cluster trace once, cut it into per-rack slices, build one domain per
+rack on its slice, hand the coordinator the trace horizon and the
 inter-rack latency as the conservative lookahead, then assemble the
 per-rack artifacts into one deterministic cluster artifact.
 
@@ -22,7 +23,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..obs import MetricsRegistry, json_lines, write_artifact
 from ..obs.events import merge_event_streams
 from ..sim.domains import DomainCoordinator
-from .topology import TASK_CLASSES, ClusterConfig, cluster_trace_events
+from .topology import TASK_CLASSES, ClusterConfig, rack_trace_slices
 
 __all__ = ["BUILDER_TARGET", "run_cluster", "write_artifacts"]
 
@@ -43,11 +44,12 @@ def run_cluster(
     speedup inputs). When ``registry`` is given, every rack's metric
     snapshot is merged into it with a ``domain="rackN"`` label.
     """
+    slices, horizon = rack_trace_slices(config)
     builders = [
-        (BUILDER_TARGET, {"rack_index": rack, "config": config})
+        (BUILDER_TARGET, {"rack_index": rack, "config": config,
+                          "trace": (slices[rack], horizon)})
         for rack in range(config.racks)
     ]
-    _, horizon = cluster_trace_events(config)
     coordinator = DomainCoordinator(
         builders,
         lookahead=config.inter_rack_latency,

@@ -15,7 +15,10 @@ plane. A cluster is ``racks`` independent rack domains, each owning:
   premise: big-memory tasks overflow into the pool;
 * its slice of the shared synthetic Google-trace (task ``i`` is homed
   on rack ``i % racks``), replayed as *live* open-loop attach/detach/
-  steal traffic.
+  steal traffic. :func:`~repro.cluster.replay.run_cluster` synthesizes
+  the trace once per run and ships each domain its slice with the
+  global horizon; a domain built without one synthesizes the full
+  trace itself and keeps the same slice.
 
 A task whose memory exceeds the local fraction leases the overflow
 from a rack lender through the full §IV-C attach workflow (path
@@ -63,6 +66,7 @@ __all__ = [
     "build_rack_domain",
     "cluster_trace_events",
     "machines_in_rack",
+    "rack_trace_slices",
     "TASK_CLASSES",
 ]
 
@@ -157,8 +161,8 @@ def cluster_trace_events(
 ) -> Tuple[List[TraceEvent], float]:
     """The cluster's shared trace and its horizon (last event time).
 
-    Every domain synthesizes the identical full trace from the seed
-    and keeps its own slice — deterministic fan-out with zero IPC.
+    A replay calls this once, through :func:`rack_trace_slices`, and
+    hands each rack domain its slice together with this global horizon.
     """
     trace_config = scaled_trace_config(
         config.machines, tasks=config.tasks, seed=config.seed
@@ -168,6 +172,22 @@ def cluster_trace_events(
         events = downsample_trace(events, config.sample, seed=config.seed)
     horizon = events[-1].time if events else 0.0
     return events, horizon
+
+
+def rack_trace_slices(
+    config: ClusterConfig,
+) -> Tuple[List[List[TraceEvent]], float]:
+    """The cluster trace cut into per-rack slices, and its horizon.
+
+    Slice ``r`` holds the events of tasks homed on rack ``r``
+    (``task_id % racks``), in trace order; the horizon is the global
+    one from :func:`cluster_trace_events`.
+    """
+    events, horizon = cluster_trace_events(config)
+    slices: List[List[TraceEvent]] = [[] for _ in range(config.racks)]
+    for event in events:
+        slices[event.task.task_id % config.racks].append(event)
+    return slices, horizon
 
 
 class RackPool:
@@ -213,9 +233,21 @@ class RackDomain:
     * ``borrow`` — ask the ring neighbor to reserve pool bytes;
     * ``grant`` / ``deny`` — the neighbor's verdict;
     * ``release`` — return a granted reservation.
+
+    ``trace`` is ``(events, horizon)``: the rack's slice of the cluster
+    trace and the *global* horizon (the chaos crash time and the
+    coordinator both key off it, so it is never the slice's own last
+    event time). Without it the domain synthesizes the full trace.
+    Either way only events with ``task_id % racks == rack_index`` are
+    scheduled.
     """
 
-    def __init__(self, rack_index: int, config: ClusterConfig):
+    def __init__(
+        self,
+        rack_index: int,
+        config: ClusterConfig,
+        trace: Optional[Tuple[List[TraceEvent], float]] = None,
+    ):
         # Global datapath counters must not depend on how many domains
         # this process built before us (serial builds all N in one
         # process; a pool worker builds its shard) — reset for
@@ -223,7 +255,9 @@ class RackDomain:
         reset_txn_ids()
         self.rack = rack_index
         self.config = config
-        events, self.horizon = cluster_trace_events(config)
+        if trace is None:
+            trace = cluster_trace_events(config)
+        events, self.horizon = trace
         self._log = EventLog(capacity=config.journal_capacity)
         spec = NodeSpec(dram_bytes=config.node_dram_bytes)
         self.testbed = PacketRackTestbed(
@@ -514,6 +548,10 @@ class RackDomain:
         }
 
 
-def build_rack_domain(rack_index: int, config: ClusterConfig) -> RackDomain:
+def build_rack_domain(
+    rack_index: int,
+    config: ClusterConfig,
+    trace: Optional[Tuple[List[TraceEvent], float]] = None,
+) -> RackDomain:
     """Domain-builder target for the coordinator (picklable by name)."""
-    return RackDomain(rack_index, config)
+    return RackDomain(rack_index, config, trace)

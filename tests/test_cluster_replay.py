@@ -10,6 +10,7 @@ chaos), so the differential comparison covers the full behavior
 space, not just the quiet paths.
 """
 
+import importlib
 import json
 
 import pytest
@@ -25,6 +26,10 @@ from repro.cluster import (
 )
 from repro.mem import MIB
 from repro.obs import MetricsRegistry, validate_event_jsonl
+from repro.sim.domains import DomainCoordinator
+
+replay_module = importlib.import_module("repro.cluster.replay")
+topology_module = importlib.import_module("repro.cluster.topology")
 
 #: Small but busy: pool contention, denials, inter-rack borrowing.
 BUSY = dict(
@@ -213,3 +218,45 @@ class TestTraceHorizon:
         assert 0 < len(sampled) < len(full)
         full_ids = {event.task.task_id for event in full}
         assert {event.task.task_id for event in sampled} <= full_ids
+
+
+class TestTraceSlicing:
+    """``run_cluster`` synthesizes once and ships each domain its slice."""
+
+    def test_run_cluster_synthesizes_the_trace_once(self, monkeypatch):
+        calls = []
+        synthesize = topology_module.synthesize_trace
+
+        def counting(trace_config):
+            calls.append(trace_config)
+            return synthesize(trace_config)
+
+        monkeypatch.setattr(topology_module, "synthesize_trace", counting)
+        run_cluster(ClusterConfig(**BUSY), jobs=1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("overrides", [
+        {"chaos": True},
+        {"sample": 0.5},
+        {"chaos": True, "sample": 0.5},
+    ], ids=["chaos", "sample", "chaos-sample"])
+    def test_slices_match_self_synthesizing_domains(self, monkeypatch,
+                                                    overrides):
+        """Sliced domains replay exactly what a domain that synthesizes
+        the full trace itself would, down to the chaos crash time
+        (which keys off the *global* horizon, not the slice's)."""
+        config = ClusterConfig(**{**BUSY, **overrides})
+        sliced, _ = run_cluster(config, jobs=1)
+
+        class SelfSynthesizing(DomainCoordinator):
+            def __init__(self, builders, **kwargs):
+                super().__init__(
+                    [(target, {k: v for k, v in kw.items() if k != "trace"})
+                     for target, kw in builders],
+                    **kwargs,
+                )
+
+        monkeypatch.setattr(replay_module, "DomainCoordinator",
+                            SelfSynthesizing)
+        unsliced, _ = run_cluster(config, jobs=1)
+        assert canonical(sliced) == canonical(unsliced)
