@@ -11,12 +11,12 @@ Run:  python examples/quickstart.py
 """
 
 from repro.mem import CACHELINE_BYTES, MIB
-from repro.obs import RunSummary
+from repro.obs import RunSummary, event_logging
 from repro.osmodel import PagePolicy
 from repro.testbed import Testbed
 
 
-def main() -> None:
+def walkthrough() -> None:
     print("Building the 3-node ThymesisFlow prototype...")
     testbed = Testbed()
 
@@ -77,9 +77,16 @@ def main() -> None:
     testbed.node0.kernel.munmap(mapping)
     print("\nDetaching (offline sections, release donor pin, free path)...")
     testbed.detach(attachment)
-    print("Done. Control-plane audit log:")
-    for line in testbed.plane.audit_log:
-        print(f"  - {line}")
+
+
+def main() -> None:
+    with event_logging() as journal:
+        walkthrough()
+    print("Done. Control-plane events in the run's journal:")
+    for event in journal:
+        if event.kind.startswith("control."):
+            print(f"  - {event.kind} (attachment "
+                  f"#{event.fields['attachment']})")
 
 
 if __name__ == "__main__":

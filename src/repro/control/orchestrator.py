@@ -14,7 +14,7 @@ Janusgraph-backed daemon of the prototype.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.flow import ActiveFlow, FlowTable
@@ -135,7 +135,6 @@ class ControlPlane:
         #: tenants; best-effort attaches that would dip below it are
         #: denied with ``control/no-headroom`` (503). 0 disables.
         self.best_effort_reserve = 0.0
-        self.audit_log: List[str] = []
         #: Sim-time source for structured events. The plane itself has
         #: no simulator reference; testbeds wire this to ``sim.now`` so
         #: control events share the datapath timeline. Unwired planes
@@ -178,7 +177,6 @@ class ControlPlane:
                 AddressRange(0, usable), name=f"{host}/sections"
             ),
         )
-        self.audit_log.append(f"register host {host}")
 
     def add_cable(
         self, host_a: str, channel_a: int, host_b: str, channel_b: int
@@ -231,9 +229,6 @@ class ControlPlane:
         else:
             self.acl.register_token(token, role)
         self._tenant_tokens[token] = name
-        self.audit_log.append(
-            f"register tenant {name} ({spec.qos.value})"
-        )
         return token
 
     def tenant_of(self, token: Optional[str]) -> Optional[str]:
@@ -301,12 +296,6 @@ class ControlPlane:
             raise
         attachment.tenant = tenant
         attachment.qos = qos.value if qos is not None else None
-        self.audit_log.append(
-            f"attach #{attachment.attachment_id}: {size >> 20} MiB "
-            f"{attachment.memory_host} -> {compute_host}"
-            + (" (bonded)" if bonded else "")
-            + (f" [{tenant}]" if tenant else "")
-        )
         if _events.ENABLED:
             now = self._now()
             _events.emit(
@@ -411,7 +400,8 @@ class ControlPlane:
 
         ``force=True`` is the failover path: donor-side steps that
         cannot complete (the lender crashed, the path to it is dark)
-        are tolerated and logged instead of aborting — the plane's
+        are tolerated and journaled (``control.teardown_failed``,
+        ``control.grant_leaked``) instead of aborting — the plane's
         bookkeeping must converge even when the far side is gone. Both
         sides' LLC channels are then quiesced so no retention timer
         keeps replaying frames for a flow that no longer exists.
@@ -431,17 +421,18 @@ class ControlPlane:
             try:
                 self._teardown_switches(attachment.path)
             except Exception as exc:  # crashed fabric state
-                self.audit_log.append(
-                    f"detach #{attachment_id}: switch teardown failed "
-                    f"under force ({exc})"
+                _events.emit(
+                    self._now(), "control.teardown_failed",
+                    attachment=attachment_id, error=str(exc),
                 )
             try:
                 donor.agent.release_grant(attachment.grant)
             except Exception as exc:  # crashed lender: grant leaks
-                self.audit_log.append(
-                    f"detach #{attachment_id}: grant "
-                    f"{attachment.grant.grant_id} leaked on "
-                    f"{attachment.memory_host} ({exc})"
+                _events.emit(
+                    self._now(), "control.grant_leaked",
+                    attachment=attachment_id,
+                    grant=attachment.grant.grant_id,
+                    memory_host=attachment.memory_host, error=str(exc),
                 )
         else:
             self._teardown_switches(attachment.path)
@@ -456,9 +447,6 @@ class ControlPlane:
             self.quotas.release(attachment.tenant, attachment.size)
         if force:
             self._quiesce_attachment_llcs(attachment)
-        self.audit_log.append(
-            f"detach #{attachment_id}" + (" (forced)" if force else "")
-        )
         if _events.ENABLED:
             _events.emit(
                 self._now(),

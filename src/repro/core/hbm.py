@@ -63,8 +63,6 @@ class HbmCache:
         self._data: Dict[int, bytes] = {}
         self.read_hits = 0
         self.read_misses = 0
-        self.write_throughs = 0
-        self.invalidations = 0
 
     @staticmethod
     def _line(address: int) -> int:
@@ -107,9 +105,7 @@ class HbmCache:
             # Partial-line writes just invalidate to stay coherent.
             self._data.pop(line, None)
             self._tags.invalidate(line)
-            self.invalidations += 1
             return
-        self.write_throughs += 1
         _hit, victim = self._tags.access_detailed(line, write=True)
         if victim is not None:
             self._data.pop(victim, None)
@@ -126,7 +122,6 @@ class HbmCache:
                 self._tags.invalidate(line)
                 dropped += 1
             line += CACHELINE_BYTES
-        self.invalidations += dropped
         return dropped
 
     @property

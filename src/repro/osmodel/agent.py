@@ -13,7 +13,7 @@ exclusively (it never programs hardware directly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..core.device import ThymesisFlowDevice
@@ -79,12 +79,10 @@ class ThymesisFlowAgent:
         self.memory_scrubber = memory_scrubber
         self._grants: Dict[int, tuple] = {}
         self._next_grant = 1
-        self._attached: Dict[int, AttachPlan] = {}
         self._stealer_pasid: Optional[int] = None
         #: Set by lender-crash fault campaigns: a crashed daemon stops
         #: granting memory (existing grants die with the host's links).
         self.crashed = False
-        self.log: List[str] = []
 
     # ------------------------------------------------------------ donor side
     def steal_memory(self, size: int) -> StealGrant:
@@ -122,10 +120,6 @@ class ThymesisFlowAgent:
         )
         self._next_grant += 1
         self._grants[grant.grant_id] = (pinned, self._stealer_pasid)
-        self.log.append(
-            f"steal: pinned {size >> 20} MiB at "
-            f"{pinned.start:#x} (pasid {self._stealer_pasid})"
-        )
         return grant
 
     def release_grant(self, grant: StealGrant) -> None:
@@ -136,7 +130,6 @@ class ThymesisFlowAgent:
             raise AgentError(f"unknown grant {grant.grant_id}") from None
         self.pasids.remove_window(pasid, pinned)
         self.kernel.unpin(pinned)
-        self.log.append(f"release: grant {grant.grant_id}")
 
     # ------------------------------------------------------------ compute side
     def attach_remote_memory(self, plan: AttachPlan) -> int:
@@ -183,15 +176,9 @@ class ThymesisFlowAgent:
                 base_latency_s=plan.remote_latency_s,
                 distances=distances,
             )
-        attached = self.kernel.hotplug_online(
+        return self.kernel.hotplug_online(
             [section.index for section in probed], plan.numa_node_id
         )
-        self._attached[plan.wire_network_id] = plan
-        self.log.append(
-            f"attach: {count} sections -> node{plan.numa_node_id} "
-            f"(net {plan.wire_network_id:#x})"
-        )
-        return attached
 
     def detach_remote_memory(self, plan: AttachPlan) -> int:
         """Reverse of attach: offline, remove, clear RMMU and route."""
@@ -210,13 +197,4 @@ class ThymesisFlowAgent:
         for section_index in plan.section_indices:
             self.device.clear_section(section_index)
         self.device.clear_route(plan.wire_network_id & 0x7FFF)
-        self._attached.pop(plan.wire_network_id, None)
-        self.log.append(
-            f"detach: {len(plan.section_indices)} sections "
-            f"(net {plan.wire_network_id:#x})"
-        )
         return removed
-
-    @property
-    def attachments(self) -> List[AttachPlan]:
-        return list(self._attached.values())

@@ -95,7 +95,6 @@ class LinuxKernel:
         self._mappings: Dict[int, Mapping] = {}
         self._next_mapping_id = 1
         self._pinned: List[AddressRange] = []
-        self.hotplug_events: List[str] = []
 
     # -- boot-time memory ---------------------------------------------------------
     def add_boot_memory(
@@ -147,7 +146,6 @@ class LinuxKernel:
         )
         for other, distance in distances.items():
             self.topology.set_distance(node_id, other, distance)
-        self.hotplug_events.append(f"node{node_id}: created (cpu-less)")
         return node
 
     def remove_node(self, node_id: int) -> None:
@@ -156,16 +154,11 @@ class LinuxKernel:
                 f"node {node_id} still has online sections"
             )
         self.topology.remove_node(node_id)
-        self.hotplug_events.append(f"node{node_id}: removed")
 
     # -- hotplug ----------------------------------------------------------------------
     def hotplug_probe(self, start: int, size: int) -> List[MemorySection]:
         """Probe new backing (``/sys/devices/system/memory/probe``)."""
-        sections = self.sparse.probe(start, size)
-        self.hotplug_events.append(
-            f"probe [{start:#x}, +{size:#x}): {len(sections)} sections"
-        )
-        return sections
+        return self.sparse.probe(start, size)
 
     def hotplug_online(
         self, section_indices: Sequence[int], node_id: int
@@ -180,9 +173,6 @@ class LinuxKernel:
             added += section.range.size
         node = self.topology.node(node_id)
         node.resize(node.memory_bytes + added)
-        self.hotplug_events.append(
-            f"online {list(section_indices)} -> node{node_id}"
-        )
         return added
 
     def hotplug_offline(self, section_indices: Sequence[int]) -> int:
@@ -210,13 +200,11 @@ class LinuxKernel:
             node = self.topology.node(node_id)
             node.resize(node.memory_bytes - section.range.size)
             removed += section.range.size
-        self.hotplug_events.append(f"offline {list(section_indices)}")
         return removed
 
     def hotplug_remove(self, section_indices: Sequence[int]) -> None:
         for index in section_indices:
             self.sparse.remove(index)
-        self.hotplug_events.append(f"remove {list(section_indices)}")
 
     # -- process mappings ---------------------------------------------------------------
     def mmap(

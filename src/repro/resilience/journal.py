@@ -31,7 +31,6 @@ class WriteJournal:
         self.size = size
         self._image = bytearray(size)
         self._dirty: List[Tuple[int, int]] = []  # merged (start, end)
-        self.bytes_recorded = 0
 
     def record(self, offset: int, data: bytes) -> None:
         if offset < 0 or offset + len(data) > self.size:
@@ -42,7 +41,6 @@ class WriteJournal:
         if not data:
             return
         self._image[offset : offset + len(data)] = data
-        self.bytes_recorded += len(data)
         self._merge(offset, offset + len(data))
 
     def _merge(self, start: int, end: int) -> None:

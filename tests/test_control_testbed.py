@@ -18,8 +18,15 @@ from repro.control import (
     Role,
 )
 from repro.mem import AddressRange, MIB
-from repro.osmodel import PagePolicy
-from repro.testbed import MemoryConfigKind, NodeSpec, Testbed, make_environment
+from repro.obs import event_logging
+from repro.osmodel import AgentError, PagePolicy
+from repro.testbed import (
+    MemoryConfigKind,
+    NodeSpec,
+    RackTestbed,
+    Testbed,
+    make_environment,
+)
 
 SECTION = 1 * MIB
 
@@ -143,6 +150,44 @@ class TestAttachDetach:
             )
         assert plane.state.donor_free("node1") == free_before
         assert len(plane.flows) == 0
+
+    def test_force_detach_journals_teardown_failure_and_grant_leak(
+        self, monkeypatch
+    ):
+        rack = RackTestbed(nodes=3, channels_per_node=2)
+        plane = rack.plane
+        headroom_before = plane.planner.capacity_headroom()
+        attachment = rack.attach("node0", 2 * MIB, memory_host="node1")
+
+        def dark_fabric(port_a, port_b):
+            raise RuntimeError("switch unreachable")
+
+        def crashed_lender(grant):
+            raise AgentError("node1: agent crashed")
+
+        monkeypatch.setattr(rack.driver, "disconnect", dark_fabric)
+        monkeypatch.setattr(
+            rack.node("node1").agent, "release_grant", crashed_lender
+        )
+        with event_logging() as journal:
+            rack.detach(attachment, force=True)
+
+        assert plane.attachments(token=rack.admin_token) == []
+        assert plane.planner.capacity_headroom() == headroom_before
+        ident = attachment.attachment_id
+        kinds = [
+            event.kind for event in journal
+            if event.fields.get("attachment") == ident
+        ]
+        assert kinds.count("control.teardown_failed") == 1
+        assert kinds.count("control.grant_leaked") == 1
+        detach_at = kinds.index("control.detach")
+        assert kinds.index("control.teardown_failed") < detach_at
+        assert kinds.index("control.grant_leaked") < detach_at
+        (leak,) = journal.find("control.grant_leaked", attachment=ident)
+        assert leak.fields["grant"] == attachment.grant.grant_id
+        assert leak.fields["memory_host"] == "node1"
+        assert "crashed" in leak.fields["error"]
 
 
 class TestAccessControl:

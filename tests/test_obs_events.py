@@ -6,6 +6,10 @@ never wall-clock, so seeded runs journal identically — asserted at the
 scenario level by ``tests/test_accel_equivalence.py``.
 """
 
+import ast
+import os
+import re
+
 import pytest
 
 from repro.control import RestApi
@@ -290,3 +294,71 @@ class TestMergeEventStreams:
 
         assert merge_event_streams({}) == []
         assert merge_event_streams({"rack0": []}) == []
+
+
+class TestEventKindTable:
+    """Every kind ``src/repro`` emits is listed in the journal's table
+    in ``docs/observability.md``."""
+
+    ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+    @staticmethod
+    def _literal(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value
+        return None
+
+    @staticmethod
+    def _name(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        if isinstance(node, ast.Name):
+            return node.id
+        return None
+
+    def _emitted_kinds(self):
+        """String-literal kinds passed to ``emit(now, kind, ...)`` or to
+        a campaign's ``_fire(sim, kind, ...)``, called directly or handed
+        to ``sim.schedule(at, self._fire, sim, kind, ...)``."""
+        kinds = set()
+        source = os.path.join(self.ROOT, "src", "repro")
+        for directory, _dirs, files in os.walk(source):
+            for filename in files:
+                if not filename.endswith(".py"):
+                    continue
+                with open(os.path.join(directory, filename)) as handle:
+                    tree = ast.parse(handle.read())
+                for call in ast.walk(tree):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    args = call.args
+                    if self._name(call.func) in ("emit", "_fire"):
+                        candidates = args[1:2]
+                    else:
+                        candidates = [
+                            args[i + 2] for i, arg in enumerate(args[:-2])
+                            if self._name(arg) == "_fire"
+                        ]
+                    kinds.update(
+                        kind for kind in map(self._literal, candidates)
+                        if kind is not None
+                    )
+        return kinds
+
+    def _documented_kinds(self):
+        path = os.path.join(self.ROOT, "docs", "observability.md")
+        with open(path) as handle:
+            text = handle.read()
+        table = text.split("| kind | emitted by |", 1)[1].split("\n\n", 1)[0]
+        kinds = set()
+        for row in table.splitlines()[2:]:
+            kinds.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+        return kinds
+
+    def test_every_emitted_kind_is_documented(self):
+        emitted = self._emitted_kinds()
+        # The walk must see both call shapes, or the check is vacuous.
+        assert {"control.grant_leaked", "fault.lender_crash"} <= emitted
+        assert len(emitted) >= 20
+        missing = sorted(emitted - self._documented_kinds())
+        assert not missing, f"docs/observability.md lacks {missing}"
