@@ -11,11 +11,15 @@ bit-for-bit for a seed.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 # The benchmark harness records NAME in its provenance and wraps the five
 # kernels below by name, so both must stay even with one implementation.
 NAME = "python"
+
+#: Compiled ``frame_digest`` layouts by signature length. A line takes
+#: at least one flit, so lengths stay within ``flits_per_frame``.
+_DIGEST_STRUCTS: Dict[int, struct.Struct] = {}
 
 
 def serialization_schedule(
@@ -48,16 +52,17 @@ def frame_digest(
     """
     signature: List[int] = []
     for txn_id, command_value, burst in entries:
+        first = txn_id * 131 + command_value
         if burst == 1:
-            signature.append(txn_id * 131 + command_value)
+            signature.append(first)
         else:
-            for line in range(burst):
-                signature.append((txn_id + line) * 131 + command_value)
-    return struct.pack(
-        f"<Q{len(signature)}q",
-        identity & 0xFFFFFFFFFFFFFFFF,
-        *signature,
-    )
+            # Line ``k`` signs as ``(txn_id + k) * 131 + command_value``.
+            signature.extend(range(first, first + 131 * burst, 131))
+    count = len(signature)
+    packer = _DIGEST_STRUCTS.get(count)
+    if packer is None:
+        packer = _DIGEST_STRUCTS[count] = struct.Struct(f"<Q{count}q")
+    return packer.pack(identity & 0xFFFFFFFFFFFFFFFF, *signature)
 
 
 def sort_values(values: Sequence[float]) -> List[float]:

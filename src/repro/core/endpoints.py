@@ -100,6 +100,9 @@ class ComputeEndpoint:
         self.rmmu = rmmu
         self.routing = routing
         self.name = name
+        # Formatted once, not per transaction: endpoints are never
+        # renamed.
+        self._handle_name = f"{name}.txn"
         #: When set, an outstanding transaction older than this is failed
         #: back to the bus (donor crash / unrecoverable link loss).
         self.transaction_timeout_s = transaction_timeout_s
@@ -145,7 +148,7 @@ class ComputeEndpoint:
 
     # -- BusTarget protocol ----------------------------------------------------------
     def handle(self, txn: MemTransaction) -> Process:
-        return self.sim.process(self._handle(txn), name=f"{self.name}.txn")
+        return self.sim.process(self._handle(txn), name=self._handle_name)
 
     def _handle(self, txn: MemTransaction) -> Generator:
         if self.window is None:
@@ -404,6 +407,7 @@ class MemoryStealingEndpoint:
         self.c1 = c1_port
         self.routing = routing
         self.name = name
+        self._serve_name = f"{name}.serve"
         self.pasid: Optional[int] = None
         self.served = 0
         self.denied = 0
@@ -427,7 +431,7 @@ class MemoryStealingEndpoint:
             raise EndpointError(
                 f"{self.name}: unexpected non-request on network: {txn!r}"
             )
-        self.sim.process(self._serve(txn), name=f"{self.name}.serve")
+        self.sim.process(self._serve(txn), name=self._serve_name)
 
     def _serve(self, txn: MemTransaction) -> Generator:
         txn.pasid = self.pasid

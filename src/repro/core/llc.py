@@ -107,12 +107,13 @@ class Frame:
     def digest(self) -> bytes:
         # A burst segment covers the same per-line headers the unbatched
         # formulation would put on the wire; the CRC protects each of
-        # them.
+        # them. ``_value_`` is where Enum stores a member's value; the
+        # ``value`` descriptor costs several times more per read.
         identity = self.frame_id if self.frame_id is not None else -1
         return ops.frame_digest(
             identity,
             [
-                (txn.txn_id, txn.command.value, txn.burst)
+                (txn.txn_id, txn.command._value_, txn.burst)
                 for txn in self.transactions
             ],
         )
@@ -150,6 +151,9 @@ class LlcEndpoint:
         self.channel = channel
         self.config = config or LlcConfig()
         self.name = name
+        # Formatted once, not per transaction: nothing renames an LLC.
+        self._submit_name = f"{name}.submit"
+        self._receive_name = f"{name}.recv"
 
         # Tx state ---------------------------------------------------------------
         self._tx_queue = Store(sim, name=f"{name}.txq")
@@ -193,7 +197,7 @@ class LlcEndpoint:
     # ------------------------------------------------------------------ datapath
     def submit(self, txn: MemTransaction):
         """Waitable submit; fires once the transaction is queued for Tx."""
-        return self.sim.process(self._submit(txn), name=f"{self.name}.submit")
+        return self.sim.process(self._submit(txn), name=self._submit_name)
 
     def _submit(self, txn: MemTransaction) -> Generator:
         if _trace.ENABLED:
@@ -209,7 +213,7 @@ class LlcEndpoint:
 
     def receive(self):
         """Waitable receive of the next ingress transaction."""
-        return self.sim.process(self._receive(), name=f"{self.name}.recv")
+        return self.sim.process(self._receive(), name=self._receive_name)
 
     def _receive(self) -> Generator:
         txn = yield self._ingress.get()
@@ -292,9 +296,10 @@ class LlcEndpoint:
                 yield self.config.packing_delay_s
             capacity = self.config.flits_per_frame
             transactions: List[MemTransaction] = []
-            flits = 0
-            leftover = self._pack(transactions, first, capacity, flits)
-            flits = sum(transaction_flits(t) for t in transactions)
+            leftover = self._pack(transactions, first, capacity, 0)
+            # Each _pack appends one transaction: count its flits rather
+            # than re-summing the frame.
+            flits = transaction_flits(transactions[-1])
             if leftover is None:
                 # Greedily fill the frame with whatever is already
                 # queued — but never wait for more ("immediate
@@ -312,7 +317,7 @@ class LlcEndpoint:
                     leftover = self._pack(
                         transactions, candidate, capacity, flits
                     )
-                    flits = sum(transaction_flits(t) for t in transactions)
+                    flits += transaction_flits(transactions[-1])
                     if leftover is not None:
                         break
             frame = self._build_frame(transactions, flits)

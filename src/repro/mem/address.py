@@ -79,10 +79,21 @@ class AddressRange:
         return self.end - 1
 
     def contains(self, address: int) -> bool:
-        return self.start <= address < self.end
+        return self.start <= address < self.start + self.size
 
     def contains_range(self, other: "AddressRange") -> bool:
         return self.start <= other.start and other.end <= self.end
+
+    def contains_span(self, start: int, size: int) -> bool:
+        """``contains_range(AddressRange(start, size))`` on plain ints.
+
+        The per-access checks use this to skip building a range object;
+        a span the constructor would reject raises the same
+        :class:`AddressError`.
+        """
+        if start < 0 or size <= 0:
+            AddressRange(start, size)
+        return self.start <= start and start + size <= self.start + self.size
 
     def overlaps(self, other: "AddressRange") -> bool:
         return self.start < other.end and other.start < self.end

@@ -194,8 +194,7 @@ class BackingStore:
             raise AddressError(f"negative size: {size}")
         if size == 0:
             return
-        access = AddressRange(address, size)
-        if not self.window.contains_range(access):
+        if not self.window.contains_span(address, size):
             raise AddressError(
                 f"{self.name}: access [{address:#x}, {address + size:#x}) "
                 f"outside window [{self.window.start:#x}, "

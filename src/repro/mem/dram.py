@@ -77,6 +77,9 @@ class DramDevice:
         self.sim = sim
         self.timing = timing or DramTiming()
         self.name = name
+        # Formatted once, not per access: nothing renames a device.
+        self._read_name = f"{name}.read"
+        self._write_name = f"{name}.write"
         self.backing = BackingStore(window, name=f"{name}.backing")
         self._banks = Resource(sim, self.timing.banks, name=f"{name}.banks")
         self.read_latency = RunningStats(f"{name}.read_latency")
@@ -116,13 +119,13 @@ class DramDevice:
     def read(self, address: int, size: int = CACHELINE_BYTES):
         """Timed read process: yields, then returns the bytes."""
         return self.sim.process(
-            self._access(address, size, None), name=f"{self.name}.read"
+            self._access(address, size, None), name=self._read_name
         )
 
     def write(self, address: int, data: bytes):
         """Timed write process."""
         return self.sim.process(
-            self._access(address, len(data), data), name=f"{self.name}.write"
+            self._access(address, len(data), data), name=self._write_name
         )
 
     def read_burst(self, address: int, lines: int):
@@ -135,7 +138,7 @@ class DramDevice:
         """
         return self.sim.process(
             self._access_burst(address, lines, None),
-            name=f"{self.name}.read",
+            name=self._read_name,
         )
 
     def write_burst(self, address: int, data: bytes):
@@ -148,7 +151,7 @@ class DramDevice:
             )
         return self.sim.process(
             self._access_burst(address, lines, data),
-            name=f"{self.name}.write",
+            name=self._write_name,
         )
 
     def _access(

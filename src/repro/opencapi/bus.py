@@ -86,6 +86,10 @@ class SystemBus:
     def __init__(self, sim: Simulator, name: str = "bus"):
         self.sim = sim
         self.name = name
+        # Process names are formatted once here, not per transaction:
+        # nothing renames a bus after construction.
+        self._load_name = f"{name}.load"
+        self._store_name = f"{name}.store"
         self._map: List[Tuple[AddressRange, BusTarget]] = []
         self.loads = 0
         self.stores = 0
@@ -112,15 +116,18 @@ class SystemBus:
 
     # -- routing ------------------------------------------------------------------
     def target_for(self, address: int, size: int) -> Tuple[AddressRange, BusTarget]:
-        access = AddressRange(address, size)
+        end = address + size
         for window, target in self._map:
-            if window.contains_range(access):
+            if window.contains_span(address, size):
                 return window, target
-            if window.overlaps(access):
+            if window.start < end and address < window.start + window.size:
                 raise BusError(
                     f"{self.name}: access [{address:#x}, "
                     f"{address + size:#x}) straddles window {window!r}"
                 )
+        # With an empty map contains_span never ran: reject a malformed
+        # access the same way before reporting it unmapped.
+        AddressRange(address, size)
         raise BusError(
             f"{self.name}: no target mapped at {address:#x} (+{size})"
         )
@@ -150,13 +157,13 @@ class SystemBus:
     def load(self, address: int, size: int = CACHELINE_BYTES) -> Process:
         """Timed load; the process result is the data bytes."""
         return self.sim.process(
-            self._load(address, size), name=f"{self.name}.load"
+            self._load(address, size), name=self._load_name
         )
 
     def store(self, address: int, data: bytes) -> Process:
         """Timed store; the process result is the response code."""
         return self.sim.process(
-            self._store(address, data), name=f"{self.name}.store"
+            self._store(address, data), name=self._store_name
         )
 
     def load_burst(self, address: int, lines: int) -> Process:
@@ -167,14 +174,14 @@ class SystemBus:
         """
         return self.sim.process(
             self._issue_burst(MemTransaction.read_burst(address, lines)),
-            name=f"{self.name}.load",
+            name=self._load_name,
         )
 
     def store_burst(self, address: int, data: bytes) -> Process:
         """Timed batched store of contiguous cachelines."""
         return self.sim.process(
             self._issue_burst(MemTransaction.write_burst(address, data)),
-            name=f"{self.name}.store",
+            name=self._store_name,
         )
 
     def register_metrics(self, registry, **labels) -> None:

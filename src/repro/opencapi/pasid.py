@@ -30,8 +30,13 @@ class PasidEntry:
     windows: List[AddressRange] = field(default_factory=list)
 
     def permits(self, address: int, size: int) -> bool:
-        access = AddressRange(address, size)
-        return any(window.contains_range(access) for window in self.windows)
+        for window in self.windows:
+            if window.contains_span(address, size):
+                return True
+        # Without windows contains_span never ran: a malformed span
+        # still raises.
+        AddressRange(address, size)
+        return False
 
 
 class PasidRegistry:

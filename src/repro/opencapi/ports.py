@@ -54,6 +54,8 @@ class OpenCapiM1Port:
     ):
         self.sim = sim
         self.name = name
+        # Formatted once, not per transaction: ports are never renamed.
+        self._forward_name = f"{name}.fwd"
         self.crossing_latency_s = crossing_latency_s
         self._device: Optional[BusTarget] = None
         self.window: Optional[AddressRange] = None
@@ -71,7 +73,7 @@ class OpenCapiM1Port:
 
     # -- BusTarget protocol -------------------------------------------------------
     def handle(self, txn: MemTransaction) -> Process:
-        return self.sim.process(self._forward(txn), name=f"{self.name}.fwd")
+        return self.sim.process(self._forward(txn), name=self._forward_name)
 
     def _forward(self, txn: MemTransaction) -> Generator:
         if self._device is None:
@@ -104,6 +106,7 @@ class OpenCapiC1Port:
         self.bus = bus
         self.pasids = pasids
         self.name = name
+        self._master_name = f"{name}.master"
         self.crossing_latency_s = crossing_latency_s
         self.mastered = 0
         self.denied = 0
@@ -115,7 +118,7 @@ class OpenCapiC1Port:
         an ``ACCESS_DENIED`` response rather than an exception, because
         on real hardware this surfaces as a bus error response.
         """
-        return self.sim.process(self._master(txn), name=f"{self.name}.master")
+        return self.sim.process(self._master(txn), name=self._master_name)
 
     def _master(self, txn: MemTransaction) -> Generator:
         try:

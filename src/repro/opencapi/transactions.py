@@ -258,7 +258,13 @@ class MemTransaction:
 
     def with_address(self, address: int) -> "MemTransaction":
         """Copy with a translated address (RMMU stages)."""
-        return replace(self, address=address)
+        # Hand-rolled copy, as in ``split_burst``: ``dataclasses.replace``
+        # re-runs field discovery and __post_init__, whose checks cover
+        # only fields this copy leaves unchanged.
+        copy = object.__new__(MemTransaction)
+        copy.__dict__.update(self.__dict__)
+        copy.address = address
+        return copy
 
     def reissue(self) -> "MemTransaction":
         """Fresh-id copy of a request, for an endpoint-level retry.

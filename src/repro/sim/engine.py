@@ -124,7 +124,7 @@ class Timeout(_Waitable):
         if delay == 0.0 and sim._running:
             sim._ready.append((next(sim._seq), process, self.value))
         else:
-            sim._push(sim._now + delay, next(sim._seq), process, self.value)
+            sim._push(sim.now + delay, next(sim._seq), process, self.value)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Timeout({self.delay!r})"
@@ -167,7 +167,7 @@ class Signal(_Waitable):
             if sim._running:
                 sim._ready.append((next(sim._seq), process, value))
             else:
-                sim._push(sim._now, next(sim._seq), process, value)
+                sim._push(sim.now, next(sim._seq), process, value)
 
     @property
     def waiter_count(self) -> int:
@@ -265,7 +265,7 @@ class Process(_Waitable):
         if cls is Timeout:
             sim = self.sim
             sim._push(
-                sim._now + target.delay, next(sim._seq), self, target.value
+                sim.now + target.delay, next(sim._seq), self, target.value
             )
             return
         if cls is float or cls is int:
@@ -273,7 +273,7 @@ class Process(_Waitable):
             # Timeout allocation (the repo's hot-path idiom).
             if target >= 0:
                 sim = self.sim
-                sim._push(sim._now + target, next(sim._seq), self, None)
+                sim._push(sim.now + target, next(sim._seq), self, None)
                 return
             self._bad_yield(target)
             return
@@ -356,7 +356,7 @@ class Simulator:
         "_dirty",
         "_ready",
         "_running",
-        "_now",
+        "now",
         "_seq",
         "_crashed",
         "event_count",
@@ -368,16 +368,13 @@ class Simulator:
         self._dirty: set = set()
         self._ready: List[Tuple[int, Any, Any]] = []
         self._running = False
-        self._now = 0.0
+        #: Current simulated time in seconds. A plain slot rather than a
+        #: property: nearly every event reads it, and only the engine
+        #: writes it.
+        self.now = 0.0
         self._seq = itertools.count()
         self._crashed: List[Tuple[Process, BaseException]] = []
         self.event_count = 0
-
-    # -- time ---------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     # -- scheduling ----------------------------------------------------------
     def _push(self, time: float, key: int, target: Any, payload: Any) -> None:
@@ -402,14 +399,14 @@ class Simulator:
         key = next(self._seq)
         if priority:
             key += priority * _PRIORITY_SHIFT
-            time = self._now + delay
+            time = self.now + delay
             self._push(time, key, callback, args)
             self._dirty.add(time)
             return
         if delay == 0.0 and self._running:
             self._ready.append((key, callback, args))
             return
-        self._push(self._now + delay, key, callback, args)
+        self._push(self.now + delay, key, callback, args)
 
     def schedule_at(
         self,
@@ -426,9 +423,9 @@ class Simulator:
         ``+ c`` is not always ``now + ((a + b + c) - now)`` in floating
         point).
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule in the past: {time!r} < {self._now!r}"
+                f"cannot schedule in the past: {time!r} < {self.now!r}"
             )
         key = next(self._seq)
         if priority:
@@ -436,7 +433,7 @@ class Simulator:
             self._push(time, key, callback, args)
             self._dirty.add(time)
             return
-        if time == self._now and self._running:
+        if time == self.now and self._running:
             self._ready.append((key, callback, args))
             return
         self._push(time, key, callback, args)
@@ -452,7 +449,7 @@ class Simulator:
         if self._running:
             self._ready.append((next(self._seq), process, value))
         else:
-            self._push(self._now, next(self._seq), process, value)
+            self._push(self.now, next(self._seq), process, value)
 
     # -- execution -----------------------------------------------------------
     def step(self) -> bool:
@@ -469,7 +466,7 @@ class Simulator:
         if not bucket:
             heapq.heappop(times)
             del self._buckets[time]
-        self._now = time
+        self.now = time
         self.event_count += 1
         if target.__class__ is Process:
             target._resume(payload)
@@ -498,12 +495,12 @@ class Simulator:
         # local-int truthiness check per event while disabled and a
         # countdown decrement while enabled; the expensive work happens
         # only once per `stride` events inside profiler.sample().
-        trace_start = self._now if _obs_trace.ENABLED else None
+        trace_start = self.now if _obs_trace.ENABLED else None
         profiler = _obs_profiler._PROFILER if _obs_profiler.ENABLED else None
         if profiler is not None:
             prof_stride = profiler.stride
             prof_left = prof_stride
-            profiler.begin_run(self._now)
+            profiler.begin_run(self.now)
         else:
             prof_left = 0
         events_before = self.event_count
@@ -523,14 +520,14 @@ class Simulator:
             while times:
                 time = times[0]
                 if until is not None and time > until:
-                    self._now = until
+                    self.now = until
                     break
                 pop(times)
                 bucket = buckets.pop(time)
                 if dirty and time in dirty:
                     dirty.discard(time)
                     bucket.sort(key=_ENTRY_KEY)
-                self._now = time
+                self.now = time
                 # Dispatch the batch at `time`: the bucket first, then
                 # the zero-delay wakeups it produced (their keys are
                 # always younger than every bucket entry's, so this is
@@ -714,7 +711,7 @@ class Simulator:
                     if events > max_events:
                         raise SimulationError(
                             f"exceeded {max_events} events; probable "
-                            f"livelock at t={self._now}"
+                            f"livelock at t={self.now}"
                         )
                 del ready[:]
                 pos = 0
@@ -730,7 +727,7 @@ class Simulator:
             if leftover:
                 # Exceptional exit mid-batch: spill undispatched wakeups
                 # back into a bucket so a later run()/step() sees them.
-                now = self._now
+                now = self.now
                 existing = buckets.get(now)
                 if existing is None:
                     buckets[now] = leftover
@@ -742,17 +739,17 @@ class Simulator:
                     leftover.sort(key=_ENTRY_KEY)
                     buckets[now] = leftover
             self.event_count += events
-        if until is not None and self._now < until and not times:
-            self._now = until
+        if until is not None and self.now < until and not times:
+            self.now = until
         if trace_start is not None and _obs_trace.ENABLED:
             _obs_trace.span(
                 "sim.run",
                 trace_start,
-                self._now,
+                self.now,
                 "sim",
                 events=self.event_count - events_before,
             )
-        return self._now
+        return self.now
 
     def run_process(self, generator: Generator, name: str = "") -> Any:
         """Convenience: run ``generator`` as a process to completion.
@@ -801,4 +798,4 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         pending = sum(len(b) for b in self._buckets.values())
-        return f"Simulator(now={self._now!r}, pending={pending})"
+        return f"Simulator(now={self.now!r}, pending={pending})"

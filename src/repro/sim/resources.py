@@ -38,6 +38,9 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
+        # Signal names are formatted once here, not per call: nothing
+        # renames a resource after construction.
+        self._grant_name = f"{name}.grant"
         self.in_use = 0
         self._waiters: Deque[tuple] = deque()
 
@@ -57,7 +60,7 @@ class Resource:
             raise SimulationError(
                 f"{self.name}: cannot acquire {count} of {self.capacity}"
             )
-        grant = Signal(name=f"{self.name}.grant", oneshot=True)
+        grant = Signal(name=self._grant_name, oneshot=True)
         if not self._waiters and self.in_use + count <= self.capacity:
             self.in_use += count
             grant.fire()
@@ -103,6 +106,8 @@ class Store:
         self.sim = sim
         self.capacity = capacity
         self.name = name
+        self._put_name = f"{name}.put"
+        self._get_name = f"{name}.get"
         self._items: Deque[Any] = deque()
         self._getters: Deque[Signal] = deque()
         self._putters: Deque[Signal] = deque()
@@ -119,7 +124,7 @@ class Store:
 
     def put(self, item: Any) -> Signal:
         """Waitable put; fires once the item has been accepted."""
-        done = Signal(name=f"{self.name}.put", oneshot=True)
+        done = Signal(name=self._put_name, oneshot=True)
         if not self.is_full and not self._pending_puts:
             self._accept(item)
             done.fire()
@@ -137,7 +142,7 @@ class Store:
 
     def get(self) -> Signal:
         """Waitable get; fires with the item as the yield value."""
-        got = Signal(name=f"{self.name}.get", oneshot=True)
+        got = Signal(name=self._get_name, oneshot=True)
         if self._items:
             item = self._items.popleft()
             self.total_got += 1
@@ -192,6 +197,7 @@ class CreditPool:
             raise SimulationError(f"initial credits must be >= 0: {initial}")
         self.sim = sim
         self.name = name
+        self._consume_name = f"{name}.consume"
         self.credits = initial
         self.initial = initial
         self._waiters: Deque[Signal] = deque()
@@ -203,7 +209,7 @@ class CreditPool:
         """Waitable consume of ``amount`` credits (fires when satisfied)."""
         if amount < 1:
             raise SimulationError(f"consume amount must be >= 1: {amount}")
-        done = Signal(name=f"{self.name}.consume", oneshot=True)
+        done = Signal(name=self._consume_name, oneshot=True)
         if not self._waiters and self.credits >= amount:
             self.credits -= amount
             self.total_consumed += amount

@@ -338,3 +338,58 @@ class TestTransactionTimeout:
             rig.load(rig.window.start)
         rig.sim.run(until=rig.sim.now + 1e-3)  # response arrives; dropped
         assert rig.compute_dev.compute.outstanding_count == 0
+
+
+class TestComponentNames:
+    """Per-call process and signal names are what the profiler sorts by.
+
+    They are formatted once per component; a store and load through the
+    rig must still sample every spawn site under its old name.
+    """
+
+    def test_spawned_processes_keep_their_names(self):
+        from repro.obs import profiling
+
+        rig = Rig()
+        with profiling(stride=1) as profiler:
+            rig.store(rig.window.start, bytes(range(128)))
+            rig.load(rig.window.start)
+        names = {name for (_phase, name) in profiler.stats()}
+        assert {
+            "compute.bus.load",
+            "compute.bus.store",
+            "cdev.m1.fwd",
+            "cdev.compute.txn",
+            "cdev.llc0.submit",
+            "cdev.llc0.recv",
+            "ddev.llc0.submit",
+            "ddev.llc0.recv",
+            "ddev.memory.serve",
+            "ddev.c1.master",
+            "donor.dram.read",
+            "donor.dram.write",
+        } <= names
+
+    def test_burst_spawns_share_the_per_line_names(self):
+        rig = Rig()
+        bus, dram = rig.compute_bus, rig.donor_dram
+        assert bus.load_burst(rig.window.start, 2).name == "compute.bus.load"
+        assert bus.store_burst(
+            rig.window.start, bytes(2 * CACHELINE_BYTES)
+        ).name == "compute.bus.store"
+        assert dram.read_burst(0, 2).name == "donor.dram.read"
+        assert dram.write_burst(
+            0, bytes(2 * CACHELINE_BYTES)
+        ).name == "donor.dram.write"
+
+    def test_resource_signals_keep_their_names(self):
+        from repro.sim.resources import CreditPool, Resource, Store
+
+        sim = Simulator()
+        store = Store(sim, name="node0.tf.llc0.txq")
+        assert store.get().name == "node0.tf.llc0.txq.get"
+        assert store.put("txn").name == "node0.tf.llc0.txq.put"
+        credits = CreditPool(sim, 4, name="node0.tf.llc0.credits")
+        assert credits.consume().name == "node0.tf.llc0.credits.consume"
+        banks = Resource(sim, 2, name="node0.dram.banks")
+        assert banks.acquire().name == "node0.dram.banks.grant"

@@ -84,6 +84,141 @@ class TestAddressRange:
         translated = r.translate(address, target_base)
         assert translated - target_base == address - start
 
+    @given(
+        start=st.integers(min_value=0, max_value=2**20),
+        size=st.integers(min_value=1, max_value=2**20),
+        span_start=st.integers(min_value=0, max_value=2**21),
+        span_size=st.integers(min_value=1, max_value=2**20),
+    )
+    def test_contains_span_agrees_with_contains_range(
+        self, start, size, span_start, span_size
+    ):
+        window = AddressRange(start, size)
+        assert window.contains_span(span_start, span_size) == (
+            window.contains_range(AddressRange(span_start, span_size))
+        )
+
+
+class TestContainsSpan:
+    WINDOW = AddressRange(0x1000, 0x1000)
+
+    def test_exact_fit(self):
+        assert self.WINDOW.contains_span(0x1000, 0x1000)
+
+    def test_one_byte_over(self):
+        assert not self.WINDOW.contains_span(0x1000, 0x1001)
+        assert not self.WINDOW.contains_span(0x1F80, 0x81)
+
+    def test_start_before_window(self):
+        assert not self.WINDOW.contains_span(0xFFF, 0x10)
+
+    @pytest.mark.parametrize(
+        ("start", "size", "message"),
+        [
+            (0x1000, 0, "non-positive size: 0"),
+            (0x1000, -1, "non-positive size: -1"),
+            (-0x80, 0x80, "negative start: -0x80"),
+        ],
+    )
+    def test_malformed_span_raises_like_the_constructor(
+        self, start, size, message
+    ):
+        with pytest.raises(AddressError) as error:
+            self.WINDOW.contains_span(start, size)
+        assert str(error.value) == message
+
+
+class TestAccessChecksKeepTheirErrors:
+    """Bus, PASID and backing-store checks raise as they always have."""
+
+    def bus(self, mapped=True):
+        from repro.opencapi.bus import SystemBus
+        from repro.sim import Simulator
+
+        bus = SystemBus(Simulator(), name="node0.bus")
+        if mapped:
+            bus.attach(AddressRange(0x1000, 0x1000), "dram")
+            bus.attach(AddressRange(0x4000, 0x1000), "device")
+        return bus
+
+    def test_target_for_routes_a_contained_access(self):
+        window, target = self.bus().target_for(0x4F80, 0x80)
+        assert (window, target) == (AddressRange(0x4000, 0x1000), "device")
+
+    def test_target_for_unmapped(self):
+        from repro.opencapi.bus import BusError
+
+        with pytest.raises(BusError) as error:
+            self.bus().target_for(0x3000, 0x80)
+        assert str(error.value) == (
+            "node0.bus: no target mapped at 0x3000 (+128)"
+        )
+
+    def test_target_for_straddling(self):
+        from repro.opencapi.bus import BusError
+
+        with pytest.raises(BusError) as error:
+            self.bus().target_for(0x1F80, 0x100)
+        assert str(error.value) == (
+            "node0.bus: access [0x1f80, 0x2080) straddles window "
+            "AddressRange(0x1000, size=0x1000)"
+        )
+
+    @pytest.mark.parametrize("mapped", [True, False])
+    def test_target_for_malformed_access(self, mapped):
+        with pytest.raises(AddressError) as error:
+            self.bus(mapped).target_for(-0x80, 0x80)
+        assert str(error.value) == "negative start: -0x80"
+        with pytest.raises(AddressError) as error:
+            self.bus(mapped).target_for(0x1000, 0)
+        assert str(error.value) == "non-positive size: 0"
+
+    def test_permits_straddling(self):
+        from repro.opencapi.pasid import PasidError, PasidRegistry
+
+        registry = PasidRegistry()
+        entry = registry.register("stealer")
+        registry.add_window(entry.pasid, AddressRange(0x1000, 0x1000))
+        assert entry.permits(0x1000, 0x1000)
+        assert not entry.permits(0x1F80, 0x100)
+        with pytest.raises(PasidError) as error:
+            registry.check_access(entry.pasid, 0x1F80, 0x100)
+        assert str(error.value) == (
+            f"PASID {entry.pasid} (stealer) may not access [0x1f80, 0x2080)"
+        )
+
+    @pytest.mark.parametrize("windows", [1, 0])
+    def test_permits_malformed_span(self, windows):
+        from repro.opencapi.pasid import PasidEntry
+
+        window = AddressRange(0x1000, 0x1000)
+        entry = PasidEntry(pasid=1, owner="p", windows=[window][:windows])
+        with pytest.raises(AddressError) as error:
+            entry.permits(-1, 0x80)
+        assert str(error.value) == "negative start: -0x1"
+
+    def test_backing_read_outside_window(self):
+        from repro.mem.backing import BackingStore
+
+        store = BackingStore(AddressRange(0x1000, 0x1000), name="node1.mem")
+        for address, size in ((0x2000, 0x80), (0x1F80, 0x100)):
+            with pytest.raises(AddressError) as error:
+                store.read(address, size)
+            assert str(error.value) == (
+                f"node1.mem: access [{address:#x}, {address + size:#x}) "
+                "outside window [0x1000, 0x2000)"
+            )
+
+    def test_backing_read_negative_address(self):
+        from repro.mem.backing import BackingStore
+
+        store = BackingStore(AddressRange(0x1000, 0x1000), name="node1.mem")
+        with pytest.raises(AddressError) as error:
+            store.read(-0x80, 0x80)
+        assert str(error.value) == "negative start: -0x80"
+        assert store.read(0x9000, 0) == b""
+
+
 
 class TestAllocator:
     def window(self, size=0x10000):
