@@ -3,19 +3,21 @@
 §IV-C lists "configuration of ThymesisFlow endpoints and possible
 intermediate switching layers" among the plane's responsibilities. A
 :class:`SwitchDriver` translates planned graph paths into bidirectional
-circuits on a physical (simulated) circuit switch, with reference
-counting so multiple flows may share an identical circuit and the
-circuit is torn down when the last flow detaches.
+circuits on a switching fabric, with reference counting so multiple
+flows may share an identical circuit and the circuit is torn down when
+the last flow detaches.
+
+One driver programs both rack fabrics of §VII: the optical
+:class:`~repro.net.switch.CircuitSwitch` and the packet fabric's session
+table (:class:`~repro.testbed.packet_rack.PacketFabricDriver`). A fabric
+only has to offer ``connect(ingress, egress)``, ``disconnect(ingress)``
+and a ``conflict_error`` class, raised when a port is already in use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from typing import Callable, Optional
-
-from ..net.switch import CircuitSwitch, SwitchError
 from .graph import GraphError
 
 __all__ = ["SwitchDriver", "extract_switch_hops"]
@@ -44,14 +46,14 @@ def extract_switch_hops(
 
 
 class SwitchDriver:
-    """Reference-counted bidirectional circuits on one CircuitSwitch."""
+    """Reference-counted bidirectional circuits on one switch fabric."""
 
     def __init__(
         self,
         name: str,
-        switch: CircuitSwitch,
-        on_circuit_up: Optional["CircuitHook"] = None,
-        on_circuit_down: Optional["CircuitHook"] = None,
+        switch: Any,
+        on_circuit_up: Optional[CircuitHook] = None,
+        on_circuit_down: Optional[CircuitHook] = None,
     ):
         self.name = name
         self.switch = switch
@@ -68,10 +70,10 @@ class SwitchDriver:
         if self._refs.get(key, 0) > 0:
             self._refs[key] += 1
             return
-        # Exclusivity: a circuit switch port carries exactly one circuit.
+        # Exclusivity: a switch port carries exactly one circuit.
         for (existing_a, existing_b), refs in self._refs.items():
             if refs > 0 and {existing_a, existing_b} & {port_a, port_b}:
-                raise SwitchError(
+                raise self.switch.conflict_error(
                     f"{self.name}: port conflict — ({port_a},{port_b}) "
                     f"vs existing ({existing_a},{existing_b})"
                 )

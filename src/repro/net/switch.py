@@ -45,6 +45,10 @@ class CircuitSwitch:
     discarded — exactly what dark fibre does.
     """
 
+    #: Raised by :class:`~repro.control.switching.SwitchDriver` when a
+    #: new circuit would share a port with a live one.
+    conflict_error = SwitchError
+
     def __init__(
         self,
         sim: Simulator,

@@ -1,32 +1,41 @@
-"""One front door for every testbed: protocol + shared base class.
+"""One front door for every testbed, and one builder for switched racks.
 
 The three testbeds (:class:`~repro.testbed.prototype.Testbed`,
 :class:`~repro.testbed.rack.RackTestbed`,
-:class:`~repro.testbed.packet_rack.PacketRackTestbed`) historically
-grew divergent ``attach()`` signatures and each lacked some part of the
-common surface (``register_observability``, ``run``). This module
-fixes the API: :class:`TestbedProtocol` is the structural contract —
+:class:`~repro.testbed.packet_rack.PacketRackTestbed`) share one API:
+:class:`TestbedProtocol` is the structural contract —
 attach/detach/run/register_observability with **one** signature and one
 :class:`~repro.control.orchestrator.Attachment` return type — and
 :class:`TestbedBase` implements it once, with small hooks for the
 per-topology differences (the circuit switch's reconfiguration blackout,
 which links belong to which host).
 
-``memory_host``/``bonded``/``token`` are keyword-only. The one-release
-positional shim (PR 4's :class:`DeprecationWarning`) is gone: passing
-them positionally now raises :class:`TypeError` straight from the
-signature.
+The two §VII racks differ only in their switch, and one builder,
+:meth:`TestbedBase._build_switched_rack`, wires either: N nodes whose
+channels each own a switch port (uplink into the port's ingress,
+downlink from its egress), a control plane that knows the hosts, the
+switch and its cables, and one
+:class:`~repro.control.switching.SwitchDriver` whose circuit hooks
+re-sync the LLCs at both ends.
+
+``memory_host``/``bonded``/``token`` are keyword-only: passing them
+positionally raises :class:`TypeError` straight from the signature.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, runtime_checkable
+from typing import (
+    Any, Callable, Dict, List, Optional, Protocol, runtime_checkable,
+)
 
 from ..control.orchestrator import Attachment, ControlPlane
+from ..control.security import Role
+from ..control.switching import SwitchDriver
+from ..core.llc import LlcConfig
 from ..mem.address import AddressRange
-from ..net.link import SerialLink
+from ..net.link import ChannelEndpointView, LinkConfig, SerialLink
 from ..sim.engine import Simulator
-from .node import Ac922Node
+from .node import Ac922Node, NodeSpec
 
 __all__ = ["TestbedProtocol", "TestbedBase"]
 
@@ -74,11 +83,14 @@ class TestbedBase:
     """Shared implementation of :class:`TestbedProtocol`.
 
     Subclasses build ``sim``/``plane``/``nodes``/``admin_token`` in
-    their constructors and may override the two hooks:
+    their constructors (a switched rack calls
+    :meth:`_build_switched_rack`) and may override the hooks:
 
     * :meth:`_settle_after_attach` — e.g. the circuit switch's optical
       reconfiguration blackout.
-    * :meth:`_register_network` — per-topology link/switch metrics.
+    * :meth:`_uplink_view` — what a rack node's LLC transmits into.
+    * :meth:`_register_network` and :meth:`links_of` — per-topology
+      link metrics and fault domains (a rack's are its node links).
     """
 
     __test__ = False  # not a pytest class, despite subclass names
@@ -87,6 +99,90 @@ class TestbedBase:
     plane: ControlPlane
     nodes: List[Ac922Node]
     admin_token: str
+    #: Switched racks only: name of the switch in the plane's graph.
+    SWITCH_NAME: str
+
+    # -- switched-rack construction ------------------------------------------------
+    def _build_switched_rack(
+        self,
+        nodes: int,
+        channels_per_node: int,
+        spec: Optional[NodeSpec],
+        llc_config: Optional[LlcConfig],
+        link_config: Optional[LinkConfig],
+        make_switch: Callable[[Simulator, int], Any],
+        fabric: Any = None,
+    ) -> None:
+        """Wire ``nodes`` nodes to one switch and bind a plane to it.
+
+        ``make_switch(sim, ports)`` builds the switch; the plane's
+        :class:`SwitchDriver` programs ``fabric``, which defaults to
+        the switch itself. Node channel ``c`` of node ``i`` owns switch
+        port ``i * channels_per_node + c``.
+        """
+        if nodes < 2:
+            raise ValueError(f"need >= 2 nodes, got {nodes}")
+        self.sim = Simulator()
+        self.spec = spec or NodeSpec()
+        link_config = link_config or LinkConfig()
+        self.channels_per_node = channels_per_node
+        ports = nodes * channels_per_node
+        self.switch = make_switch(self.sim, ports)
+
+        self.nodes = []
+        self._node_links: Dict[str, List[SerialLink]] = {}
+        for index in range(nodes):
+            node = Ac922Node(self.sim, f"node{index}", self.spec, llc_config)
+            self.nodes.append(node)
+            links = self._node_links[node.hostname] = []
+            for channel in range(channels_per_node):
+                port = index * channels_per_node + channel
+                # Uplink terminates directly on the switch port ingress;
+                # the downlink is the switch port's egress fibre.
+                name = f"node{index}.c{channel}"
+                up = SerialLink(self.sim, link_config, name=f"{name}.up",
+                                rx_store=self.switch.ingress_store(port))
+                down = SerialLink(self.sim, link_config, name=f"{name}.down")
+                self.switch.attach_egress(port, down)
+                node.device.connect_channel(
+                    ChannelEndpointView(self._uplink_view(port, up), down)
+                )
+                links.extend((up, down))
+
+        self.plane = ControlPlane()
+        # Control events share the datapath's sim-time timeline.
+        self.plane.clock = lambda: self.sim.now
+        self.driver = SwitchDriver(
+            self.SWITCH_NAME,
+            self.switch if fabric is None else fabric,
+            on_circuit_up=self._reset_circuit_llcs,
+            on_circuit_down=self._reset_circuit_llcs,
+        )
+        for node in self.nodes:
+            self.plane.register_host(
+                node.agent,
+                transceivers=channels_per_node,
+                donor_capacity_bytes=node.spec.dram_bytes // 2,
+            )
+        self.plane.add_switch(self.SWITCH_NAME, ports, driver=self.driver)
+        for port in range(ports):
+            index, channel = divmod(port, channels_per_node)
+            self.plane.add_switch_cable(
+                f"node{index}", channel, self.SWITCH_NAME, port
+            )
+        self.admin_token = self.plane.acl.issue_token(Role.ADMIN)
+
+    def _uplink_view(self, port: int, link: SerialLink) -> Any:
+        """Hook: the tx side a rack node's LLC sends through on ``port``."""
+        return link
+
+    def _reset_circuit_llcs(self, port_a: int, port_b: int) -> None:
+        """Link bring-up on a fresh circuit: both LLCs agree on frame
+        identifiers (§IV-A4) — stale state from a previous peer is
+        discarded before any transaction flows."""
+        for port in (port_a, port_b):
+            index, channel = divmod(port, self.channels_per_node)
+            self.nodes[index].device.llcs[channel].reset_link()
 
     # -- node lookup ---------------------------------------------------------------
     def node(self, hostname: str) -> Ac922Node:
@@ -154,12 +250,17 @@ class TestbedBase:
 
     def _register_network(self, registry) -> None:
         """Hook: per-topology link/switch metric registration."""
+        for links in self._node_links.values():
+            for link in links:
+                link.register_metrics(registry)
 
     # -- fault domains --------------------------------------------------------------
     def links_of(self, hostname: str) -> List[SerialLink]:
         """The serial links whose failure isolates ``hostname``.
 
         Fault campaigns target these (install an injector, kill or
-        degrade the link); each topology knows its own wiring.
+        degrade the link). On a switched rack they are the host's own
+        uplinks and downlinks.
         """
-        raise NotImplementedError
+        self.node(hostname)  # KeyError on unknown host
+        return list(self._node_links[hostname])

@@ -19,20 +19,23 @@ removes the optical reconfiguration delay and the physical circuit
 exclusivity, not the session pinning. True any-to-any sharing of one
 channel would need per-peer LLC sessions (future work, as in the
 paper).
+
+The same builder as the circuit rack's wires this rack
+(:meth:`~repro.testbed.base.TestbedBase._build_switched_rack`), and one
+:class:`~repro.control.switching.SwitchDriver` programs both fabrics:
+here it drives :class:`PacketFabricDriver`, the session table that pins
+each uplink's destination port.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from ..control.orchestrator import ControlPlane
-from ..control.security import Role
 from ..core.llc import LlcConfig
-from ..net.link import ChannelEndpointView, LinkConfig, SerialLink
+from ..net.link import LinkConfig, SerialLink
 from ..net.packet import Addressed, PacketSwitch, PacketSwitchError
-from ..sim.engine import Simulator
 from .base import TestbedBase
-from .node import Ac922Node, NodeSpec
+from .node import NodeSpec
 
 __all__ = ["PacketRackTestbed", "AddressedUplink", "PacketFabricDriver"]
 
@@ -40,8 +43,9 @@ __all__ = ["PacketRackTestbed", "AddressedUplink", "PacketFabricDriver"]
 class AddressedUplink:
     """Tx-side adapter: wraps LLC frames for the packet fabric.
 
-    Presents the :class:`SerialLink` send interface the LLC expects and
-    stamps each frame with the currently-pinned destination port.
+    Presents the :class:`SerialLink` ``try_send`` interface the LLC
+    uses and stamps each frame with the currently-pinned destination
+    port.
     """
 
     def __init__(self, link: SerialLink):
@@ -62,81 +66,27 @@ class AddressedUplink:
             pre_corrupted=pre_corrupted,
         )
 
-    def send(self, payload, size_bytes: int, pre_corrupted: bool = False):
-        if self.destination_port is None:
-            self.frames_unpinned += 1
-            from ..sim.engine import Signal
-
-            done = Signal(oneshot=True)
-            done.fire()
-            return done
-        return self.link.send(
-            Addressed(self.destination_port, payload),
-            size_bytes,
-            pre_corrupted=pre_corrupted,
-        )
-
 
 class PacketFabricDriver:
-    """Control-plane driver pinning LLC sessions over the packet fabric.
+    """The packet fabric's session table, programmed by a SwitchDriver.
 
-    Same interface as :class:`~repro.control.switching.SwitchDriver`
-    (the orchestrator is agnostic), but "connect" just sets destination
-    ports on the two uplinks — there is no optical path to program and
-    no reconfiguration blackout.
+    "Connecting" ingress to egress just sets the ingress uplink's
+    destination port — there is no optical path to program and no
+    reconfiguration blackout. The
+    :class:`~repro.control.switching.SwitchDriver` above it keeps the
+    refcounts and port exclusivity.
     """
 
-    def __init__(
-        self,
-        name: str,
-        uplinks: Dict[int, AddressedUplink],
-        on_circuit_up: Optional[Callable[[int, int], None]] = None,
-        on_circuit_down: Optional[Callable[[int, int], None]] = None,
-    ):
-        self.name = name
+    conflict_error = PacketSwitchError
+
+    def __init__(self, uplinks: Dict[int, AddressedUplink]):
         self.uplinks = uplinks
-        self.on_circuit_up = on_circuit_up
-        self.on_circuit_down = on_circuit_down
-        self._refs: Dict[Tuple[int, int], int] = {}
 
-    def _canonical(self, a: int, b: int) -> Tuple[int, int]:
-        return (a, b) if a <= b else (b, a)
+    def connect(self, ingress_port: int, egress_port: int) -> None:
+        self.uplinks[ingress_port].destination_port = egress_port
 
-    def connect(self, port_a: int, port_b: int) -> None:
-        key = self._canonical(port_a, port_b)
-        if self._refs.get(key, 0) > 0:
-            self._refs[key] += 1
-            return
-        for (existing_a, existing_b), refs in self._refs.items():
-            if refs > 0 and {existing_a, existing_b} & {port_a, port_b}:
-                raise PacketSwitchError(
-                    f"{self.name}: session conflict — ({port_a},{port_b}) "
-                    f"vs existing ({existing_a},{existing_b})"
-                )
-        self.uplinks[port_a].destination_port = port_b
-        self.uplinks[port_b].destination_port = port_a
-        self._refs[key] = 1
-        if self.on_circuit_up is not None:
-            self.on_circuit_up(port_a, port_b)
-
-    def disconnect(self, port_a: int, port_b: int) -> None:
-        key = self._canonical(port_a, port_b)
-        refs = self._refs.get(key, 0)
-        if refs <= 0:
-            raise PacketSwitchError(
-                f"{self.name}: session ({port_a},{port_b}) not pinned"
-            )
-        if refs == 1:
-            self.uplinks[port_a].destination_port = None
-            self.uplinks[port_b].destination_port = None
-            del self._refs[key]
-            if self.on_circuit_down is not None:
-                self.on_circuit_down(port_a, port_b)
-        else:
-            self._refs[key] = refs - 1
-
-    def circuits(self) -> List[Tuple[int, int]]:
-        return sorted(key for key, refs in self._refs.items() if refs > 0)
+    def disconnect(self, ingress_port: int) -> None:
+        self.uplinks[ingress_port].destination_port = None
 
 
 class PacketRackTestbed(TestbedBase):
@@ -154,89 +104,23 @@ class PacketRackTestbed(TestbedBase):
         forwarding_latency_s: float = 300e-9,
         egress_queue_frames: int = 64,
     ):
-        if nodes < 2:
-            raise ValueError(f"need >= 2 nodes, got {nodes}")
-        self.sim = Simulator()
-        self.spec = spec or NodeSpec()
-        link_config = link_config or LinkConfig()
-        self.channels_per_node = channels_per_node
-
-        self.switch = PacketSwitch(
-            self.sim,
-            ports=nodes * channels_per_node,
-            forwarding_latency_s=forwarding_latency_s,
-            egress_queue_frames=egress_queue_frames,
-            name=self.SWITCH_NAME,
-        )
-        self.nodes: List[Ac922Node] = []
         self.uplinks: Dict[int, AddressedUplink] = {}
-        self._node_links: Dict[str, List[SerialLink]] = {}
-        self.plane = ControlPlane()
-        # Control events share the datapath's sim-time timeline.
-        self.plane.clock = lambda: self.sim.now
-
-        for index in range(nodes):
-            node = Ac922Node(self.sim, f"node{index}", self.spec, llc_config)
-            self.nodes.append(node)
-            self._node_links[node.hostname] = []
-            for channel in range(channels_per_node):
-                port = index * channels_per_node + channel
-                raw_up = SerialLink(
-                    self.sim,
-                    link_config,
-                    name=f"node{index}.c{channel}.up",
-                    rx_store=self.switch.ingress_store(port),
-                )
-                uplink = AddressedUplink(raw_up)
-                self.uplinks[port] = uplink
-                down = SerialLink(
-                    self.sim,
-                    link_config,
-                    name=f"node{index}.c{channel}.down",
-                )
-                self.switch.attach_egress(port, down)
-                node.device.connect_channel(ChannelEndpointView(uplink, down))
-                self._node_links[node.hostname].extend((raw_up, down))
-
-        driver = PacketFabricDriver(
-            self.SWITCH_NAME,
-            self.uplinks,
-            on_circuit_up=self._sync_session_llcs,
-            on_circuit_down=self._sync_session_llcs,
+        self._build_switched_rack(
+            nodes, channels_per_node, spec, llc_config, link_config,
+            make_switch=lambda sim, ports: PacketSwitch(
+                sim,
+                ports=ports,
+                forwarding_latency_s=forwarding_latency_s,
+                egress_queue_frames=egress_queue_frames,
+                name=self.SWITCH_NAME,
+            ),
+            fabric=PacketFabricDriver(self.uplinks),
         )
-        for node in self.nodes:
-            self.plane.register_host(
-                node.agent,
-                transceivers=channels_per_node,
-                donor_capacity_bytes=node.spec.dram_bytes // 2,
-            )
-        self.plane.add_switch(
-            self.SWITCH_NAME, nodes * channels_per_node, driver=driver
-        )
-        for index in range(nodes):
-            for channel in range(channels_per_node):
-                port = index * channels_per_node + channel
-                self.plane.add_switch_cable(
-                    f"node{index}", channel, self.SWITCH_NAME, port
-                )
-        self.driver = driver
-        self.admin_token = self.plane.acl.issue_token(Role.ADMIN)
-
-    def _sync_session_llcs(self, port_a: int, port_b: int) -> None:
-        """Link bring-up on a fresh session (§IV-A4 frame-id agreement)."""
-        for port in (port_a, port_b):
-            node_index, channel = divmod(port, self.channels_per_node)
-            self.nodes[node_index].device.llcs[channel].reset_link()
 
     # -- topology hooks -----------------------------------------------------------
     # (No _settle_after_attach override: there is no reconfiguration
     # blackout — the packet fabric is usable immediately.)
 
-    def _register_network(self, registry) -> None:
-        for links in self._node_links.values():
-            for link in links:
-                link.register_metrics(registry)
-
-    def links_of(self, hostname: str) -> List[SerialLink]:
-        self.node(hostname)  # KeyError on unknown host
-        return list(self._node_links[hostname])
+    def _uplink_view(self, port: int, link: SerialLink) -> AddressedUplink:
+        uplink = self.uplinks[port] = AddressedUplink(link)
+        return uplink

@@ -15,17 +15,14 @@ prototype.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-from ..control.orchestrator import Attachment, ControlPlane
-from ..control.security import Role
-from ..control.switching import SwitchDriver
+from ..control.orchestrator import Attachment
 from ..core.llc import LlcConfig
-from ..net.link import ChannelEndpointView, LinkConfig, SerialLink
+from ..net.link import LinkConfig
 from ..net.switch import CircuitSwitch
-from ..sim.engine import Simulator
 from .base import TestbedBase
-from .node import Ac922Node, NodeSpec
+from .node import NodeSpec
 
 __all__ = ["RackTestbed"]
 
@@ -44,81 +41,15 @@ class RackTestbed(TestbedBase):
         link_config: Optional[LinkConfig] = None,
         switch_crossing_s: float = 100e-9,
     ):
-        if nodes < 2:
-            raise ValueError(f"need >= 2 nodes, got {nodes}")
-        self.sim = Simulator()
-        self.spec = spec or NodeSpec()
-        link_config = link_config or LinkConfig()
-        self.channels_per_node = channels_per_node
-
-        self.switch = CircuitSwitch(
-            self.sim,
-            ports=nodes * channels_per_node,
-            crossing_latency_s=switch_crossing_s,
-            name=self.SWITCH_NAME,
+        self._build_switched_rack(
+            nodes, channels_per_node, spec, llc_config, link_config,
+            make_switch=lambda sim, ports: CircuitSwitch(
+                sim,
+                ports=ports,
+                crossing_latency_s=switch_crossing_s,
+                name=self.SWITCH_NAME,
+            ),
         )
-        self.nodes: List[Ac922Node] = []
-        self._node_links: Dict[str, List[SerialLink]] = {}
-        self.plane = ControlPlane()
-        # Control events share the datapath's sim-time timeline.
-        self.plane.clock = lambda: self.sim.now
-        driver = SwitchDriver(
-            self.SWITCH_NAME,
-            self.switch,
-            on_circuit_up=self._sync_circuit_llcs,
-            on_circuit_down=self._sync_circuit_llcs,
-        )
-
-        for index in range(nodes):
-            node = Ac922Node(
-                self.sim, f"node{index}", self.spec, llc_config
-            )
-            self.nodes.append(node)
-            self._node_links[node.hostname] = []
-            for channel in range(channels_per_node):
-                port = index * channels_per_node + channel
-                # Uplink terminates directly on the switch port ingress;
-                # the downlink is the switch port's egress fibre.
-                up = SerialLink(
-                    self.sim,
-                    link_config,
-                    name=f"node{index}.c{channel}.up",
-                    rx_store=self.switch.ingress_store(port),
-                )
-                down = SerialLink(
-                    self.sim,
-                    link_config,
-                    name=f"node{index}.c{channel}.down",
-                )
-                self.switch.attach_egress(port, down)
-                node.device.connect_channel(ChannelEndpointView(up, down))
-                self._node_links[node.hostname].extend((up, down))
-
-        for node in self.nodes:
-            self.plane.register_host(
-                node.agent,
-                transceivers=channels_per_node,
-                donor_capacity_bytes=node.spec.dram_bytes // 2,
-            )
-        self.plane.add_switch(
-            self.SWITCH_NAME, nodes * channels_per_node, driver=driver
-        )
-        for index in range(nodes):
-            for channel in range(channels_per_node):
-                port = index * channels_per_node + channel
-                self.plane.add_switch_cable(
-                    f"node{index}", channel, self.SWITCH_NAME, port
-                )
-        self.driver = driver
-        self.admin_token = self.plane.acl.issue_token(Role.ADMIN)
-
-    def _sync_circuit_llcs(self, port_a: int, port_b: int) -> None:
-        """Link bring-up on a fresh circuit: both LLCs agree on frame
-        identifiers (§IV-A4) — stale state from a previous peer is
-        discarded before any transaction flows."""
-        for port in (port_a, port_b):
-            node_index, channel = divmod(port, self.channels_per_node)
-            self.nodes[node_index].device.llcs[channel].reset_link()
 
     # -- topology hooks -----------------------------------------------------------
     def _settle_after_attach(self, attachment: Attachment) -> None:
@@ -128,15 +59,6 @@ class RackTestbed(TestbedBase):
         self.sim.run(
             until=self.sim.now + self.switch.reconfiguration_s * 1.5
         )
-
-    def _register_network(self, registry) -> None:
-        for links in self._node_links.values():
-            for link in links:
-                link.register_metrics(registry)
-
-    def links_of(self, hostname: str) -> List[SerialLink]:
-        self.node(hostname)  # KeyError on unknown host
-        return list(self._node_links[hostname])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

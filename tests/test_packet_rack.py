@@ -3,6 +3,7 @@
 import pytest
 
 from repro.mem import CACHELINE_BYTES, MIB
+from repro.net import PacketSwitchError
 from repro.testbed import PacketRackTestbed
 
 
@@ -74,7 +75,8 @@ class TestPacketRack:
     def test_session_conflict_detected(self, rack):
         a = rack.attach("node0", 1 * MIB, memory_host="node1")
         b = rack.attach("node0", 1 * MIB, memory_host="node2")
-        with pytest.raises(Exception):
+        with pytest.raises(PacketSwitchError) as excinfo:
             rack.attach("node0", 1 * MIB, memory_host="node3")
+        assert excinfo.value.code == "switch/packet-session"
         rack.detach(a)
         rack.detach(b)

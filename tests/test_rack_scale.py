@@ -3,52 +3,81 @@ switch (§VII projection)."""
 
 import pytest
 
-from repro.control import NoPathError, SwitchDriver, extract_switch_hops
+from repro.control import (
+    GraphError,
+    NoPathError,
+    SwitchDriver,
+    extract_switch_hops,
+)
 from repro.mem import CACHELINE_BYTES, MIB
-from repro.net import CircuitSwitch, SwitchError
+from repro.net import CircuitSwitch, PacketSwitchError, SwitchError
 from repro.sim import Simulator
 from repro.testbed import RackTestbed
+from repro.testbed.packet_rack import AddressedUplink, PacketFabricDriver
 
 
-class TestSwitchDriver:
-    def make(self):
-        sim = Simulator()
-        switch = CircuitSwitch(sim, ports=8, reconfiguration_s=0.0)
-        return SwitchDriver("sw0", switch), switch
+class _DriverCases:
+    """SwitchDriver cases each fabric must pass.
+
+    ``make()`` returns the driver and a probe mapping an ingress port
+    to its egress port (None when unconnected).
+    """
 
     def test_connect_is_bidirectional(self):
-        driver, switch = self.make()
+        driver, circuit_for = self.make()
         driver.connect(0, 5)
-        assert switch.circuit_for(0) == 5
-        assert switch.circuit_for(5) == 0
+        assert circuit_for(0) == 5
+        assert circuit_for(5) == 0
 
     def test_refcounted_sharing(self):
-        driver, switch = self.make()
+        driver, circuit_for = self.make()
         driver.connect(0, 5)
         driver.connect(5, 0)  # same circuit, canonicalized
         driver.disconnect(0, 5)
-        assert switch.circuit_for(0) == 5  # still referenced
+        assert circuit_for(0) == 5  # still referenced
         driver.disconnect(5, 0)
-        assert switch.circuit_for(0) is None
+        assert circuit_for(0) is None
 
     def test_port_conflict_rejected(self):
-        driver, _switch = self.make()
+        driver, circuit_for = self.make()
         driver.connect(0, 5)
-        with pytest.raises(SwitchError):
-            driver.connect(0, 3)
-        with pytest.raises(SwitchError):
-            driver.connect(2, 5)
+        for port_a, port_b in ((0, 3), (2, 5)):
+            with pytest.raises(self.conflict_error) as excinfo:
+                driver.connect(port_a, port_b)
+            assert excinfo.value.code == self.conflict_code
+        assert circuit_for(3) is None and circuit_for(2) is None
 
     def test_disconnect_unknown_circuit_rejected(self):
-        driver, _switch = self.make()
-        with pytest.raises(Exception):
+        driver, _circuit_for = self.make()
+        with pytest.raises(GraphError):
             driver.disconnect(0, 1)
+
+
+class TestSwitchDriver(_DriverCases):
+    """Driver cases on the optical circuit switch."""
+
+    conflict_error, conflict_code = SwitchError, "switch/circuit"
+
+    def make(self):
+        switch = CircuitSwitch(Simulator(), ports=8, reconfiguration_s=0.0)
+        return SwitchDriver("sw0", switch), switch.circuit_for
 
     def test_extract_switch_hops(self):
         path = ("node0/cep", "node0/x0", "sw0/p0", "sw0/p3",
                 "node1/x1", "node1/mep")
         assert extract_switch_hops(path, "sw0") == [(0, 3)]
         assert extract_switch_hops(path, "other") == []
+
+
+class TestPacketSessionDriver(_DriverCases):
+    """The same driver cases on the packet fabric's session table."""
+
+    conflict_error, conflict_code = PacketSwitchError, "switch/packet-session"
+
+    def make(self):
+        uplinks = {port: AddressedUplink(link=None) for port in range(8)}
+        driver = SwitchDriver("psw0", PacketFabricDriver(uplinks))
+        return driver, lambda port: uplinks[port].destination_port
 
 
 class TestRackTestbed:
