@@ -393,19 +393,19 @@ class LlcEndpoint:
                     f"({len(self._retention)} frames unacked)"
                 )
             self._arm_retention_timer()
+        self._emit(frame)
+        frame.sent_at = self.sim.now
+        self._last_tx_time = self.sim.now
+
+    def _emit(self, frame: Frame) -> None:
+        """Stamp the piggybacked ack and credits, seal, and launch."""
         frame.ack_id = self._expected_id - 1 if self._expected_id else None
         frame.credit_grant = self._pending_grants
         self._pending_grants = 0
         frame.seal()
-        frame.sent_at = self.sim.now
-        self._last_tx_time = self.sim.now
         # The FPGA pipeline adds latency without limiting throughput:
         # launch after the crossing delay rather than stalling the pump.
-        self.sim.schedule(
-            self.config.pipeline_latency_s,
-            self._launch,
-            frame,
-        )
+        self.sim.schedule(self.config.pipeline_latency_s, self._launch, frame)
 
     def _launch(self, frame: Frame) -> None:
         if not self.channel.tx_link.try_send(frame, frame.wire_bytes):
@@ -424,16 +424,12 @@ class LlcEndpoint:
                 wire_bytes=original.wire_bytes,
                 is_replay=True,
             )
-            copy.ack_id = self._expected_id - 1 if self._expected_id else None
-            copy.credit_grant = self._pending_grants
-            self._pending_grants = 0
-            copy.seal()
+            self._emit(copy)
+            # Refresh the retention timestamp. Unlike _transmit, a replay
+            # leaves _last_tx_time alone.
             copy.sent_at = self.sim.now
-            self._retention[frame_id] = copy  # refresh retention timestamp
+            self._retention[frame_id] = copy
             self.replays_served += 1
-            self.sim.schedule(
-                self.config.pipeline_latency_s, self._launch, copy
-            )
 
     # -- retention timeout (tail-loss recovery) -------------------------------------
     def _arm_retention_timer(self) -> None:
@@ -579,13 +575,9 @@ class LlcEndpoint:
             replay_from=replay_from,
             wire_bytes=FLIT_BYTES + FRAME_HEADER_BYTES,
         )
-        frame.ack_id = self._expected_id - 1 if self._expected_id else None
-        frame.credit_grant = self._pending_grants
-        self._pending_grants = 0
-        frame.seal()
+        self._emit(frame)
         self.control_frames += 1
         self._last_tx_time = self.sim.now
-        self.sim.schedule(self.config.pipeline_latency_s, self._launch, frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -37,8 +37,6 @@ class TLCommand(Enum):
     MEM_RD_RESPONSE = auto()   #: read response (carries data)
     MEM_WR_RESPONSE = auto()   #: write acknowledgement (no data)
     NOP = auto()           #: single-flit padding inside incomplete frames
-    REPLAY_REQUEST = auto()    #: in-band Rx→Tx frame-replay message
-    LINK_SYNC = auto()     #: link bring-up: agree on starting frame id
 
 
 class ResponseCode(Enum):
@@ -123,8 +121,6 @@ class MemTransaction:
     response_code: ResponseCode = ResponseCode.OK
     #: channel index the request arrived on (memory side responds in kind)
     arrival_channel: Optional[int] = None
-    #: credits piggy-backed on this header (LLC backpressure, §IV-A4)
-    piggyback_credits: int = 0
     issued_at: float = 0.0
     #: Number of contiguous cachelines this transaction stands for. A
     #: burst of N lines owns the consecutive ids txn_id..txn_id+N-1 and
@@ -352,7 +348,6 @@ def split_burst(
     view.pasid = txn.pasid
     view.response_code = txn.response_code
     view.arrival_channel = txn.arrival_channel
-    view.piggyback_credits = txn.piggyback_credits
     view.issued_at = txn.issued_at
     view.burst = lines
     view.burst_offset = txn.burst_offset + line_start

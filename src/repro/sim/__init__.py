@@ -12,7 +12,6 @@ from .engine import (
 from .resources import CreditPool, Resource, Store
 from .rng import SeededRNG, ZipfGenerator
 from .stats import (
-    Histogram,
     LatencyRecorder,
     RunningStats,
     TimeWeightedValue,
@@ -36,7 +35,6 @@ __all__ = [
     "SeededRNG",
     "ZipfGenerator",
     "RunningStats",
-    "Histogram",
     "LatencyRecorder",
     "TimeWeightedValue",
     "percentile",

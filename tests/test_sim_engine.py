@@ -78,13 +78,20 @@ class TestScheduling:
 
     def test_max_events_guard_trips_on_livelock(self):
         sim = Simulator()
+        calls = []
 
         def rearm():
+            calls.append(sim.now)
             sim.schedule(0.0, rearm)
 
         sim.schedule(0.0, rearm)
-        with pytest.raises(SimulationError, match="events"):
+        with pytest.raises(SimulationError, match="exceeded 100 events"):
             sim.run(max_events=100)
+        # Exactly max_events dispatched and counted; the next one stays
+        # queued.
+        assert len(calls) == sim.event_count == 100
+        assert sim.step() is True
+        assert len(calls) == 101
 
 
 class TestProcesses:
@@ -142,17 +149,17 @@ class TestProcesses:
         sim = Simulator()
 
         def empty():
-            return
+            return 42
             yield  # pragma: no cover - makes this a generator
 
         child = sim.process(empty())
         sim.run()
 
         def parent():
-            yield child
-            return sim.now
+            got = yield child
+            return got, sim.now
 
-        assert sim.run_process(parent()) == 0.0
+        assert sim.run_process(parent()) == (42, 0.0)
 
     def test_yielding_garbage_raises(self):
         sim = Simulator()
@@ -334,3 +341,197 @@ class TestDeterminism:
             return trace
 
         assert build_and_run() == build_and_run()
+
+
+class TestSlowPath:
+    """Yields that ``Simulator.run`` does not inline go through
+    ``Process._wait_on``; these pin what that path does."""
+
+    def test_positive_int_yield_is_a_timeout(self):
+        sim = Simulator()
+
+        def proc():
+            got = yield 3
+            return got, sim.now
+
+        assert sim.run_process(proc()) == (None, 3.0)
+
+    @pytest.mark.parametrize("zero", [0, 0.0, Timeout(0)], ids=repr)
+    def test_zero_delay_queues_behind_same_instant_callbacks(self, zero):
+        sim = Simulator()
+        trace = []
+
+        def proc():
+            trace.append("p1")
+            yield zero
+            trace.append("p2")
+
+        def first():
+            trace.append("cb")
+            sim.schedule(0.0, trace.append, "cb2")
+
+        sim.process(proc())
+        sim.schedule(0.0, first)
+        sim.run()
+        assert trace == ["p1", "cb", "p2", "cb2"]
+        assert sim.now == 0.0
+
+    @pytest.mark.parametrize("junk", [-1, -0.5], ids=repr)
+    def test_negative_number_crashes_the_process(self, junk):
+        sim = Simulator()
+
+        def proc():
+            yield junk
+
+        with pytest.raises(SimulationError, match="yielded"):
+            sim.run_process(proc())
+
+    def test_join_of_crashed_process_reraises_in_joiner(self):
+        sim = Simulator()
+        boom = ValueError("boom")
+
+        def child():
+            yield 1.0
+            raise boom
+
+        def parent():
+            yield 2.0
+            try:
+                yield kid
+            except ValueError as exc:
+                return exc, sim.now
+
+        kid = sim.process(child())
+        waiter = sim.process(parent())
+        # Nobody was joined when the child crashed: the crash surfaces.
+        with pytest.raises(ValueError, match="boom"):
+            sim.run()
+        sim.run()
+        assert waiter.result == (boom, 2.0)
+
+    def test_interrupted_waiter_yielding_zero_joins_ready_list(self):
+        sim = Simulator()
+        trace = []
+
+        def sleeper():
+            try:
+                yield 100.0
+            except Interrupt:
+                trace.append("woken")
+            yield 0.0
+            trace.append("after")
+
+        def second():
+            trace.append("B")
+            sim.schedule(0.0, trace.append, "C")
+
+        def first():
+            proc.interrupt()
+            sim.schedule(0.0, second)
+
+        proc = sim.process(sleeper())
+        sim.schedule(5.0, first)
+        sim.run()
+        # The zero delay after the interrupt is an ordinary zero-delay
+        # wakeup: it runs before C, which was scheduled after it.
+        assert trace == ["woken", "B", "after", "C"]
+        assert proc.result is None and not proc.alive
+
+
+class TestEventCount:
+    def test_process_crash_counts_the_crashing_event(self):
+        sim = Simulator()
+        for _ in range(3):
+            sim.schedule(1.0, lambda: None)
+
+        def proc():
+            yield 2.0
+            raise ValueError("boom")
+
+        sim.process(proc())
+        with pytest.raises(ValueError):
+            sim.run()
+        assert sim.event_count == 5  # start, 3 callbacks, the crash
+
+    def test_raising_callback_is_counted(self):
+        sim = Simulator()
+
+        def fail():
+            raise KeyError("cb")
+
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(1.0, fail)
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(KeyError):
+            sim.run()
+        assert sim.event_count == 2
+        sim.run()
+        assert sim.event_count == 3
+
+
+def _mixed_scenario(drive):
+    """One scenario touching every yield kind; returns its trace."""
+    sim = Simulator()
+    trace = []
+    latch = Signal("latch", oneshot=True)
+    bell = Signal("bell")
+
+    def note(label):
+        trace.append((sim.now, label))
+
+    def child(tag):
+        yield 0.5
+        note(f"child{tag}")
+        return tag
+
+    def worker():
+        yield 1.0
+        note("float")
+        yield 1
+        note("int")
+        yield Timeout(0.25, "v")
+        note("timeout")
+        yield 0
+        note("zero")
+        kid = sim.process(child(1))
+        got = yield kid
+        note(f"joined{got}")
+        got = yield kid
+        note(f"rejoined{got}")
+        got = yield latch
+        note(f"latch{got}")
+        got = yield bell
+        note(f"bell{got}")
+
+    def sleeper():
+        try:
+            yield 50.0
+        except Interrupt as exc:
+            note(f"interrupt{exc.cause}")
+        yield 0.0
+        note("sleeper-zero")
+        got = yield latch
+        note(f"sleeper-latch{got}")
+
+    sim.process(worker())
+    nap = sim.process(sleeper())
+    sim.schedule(0.5, latch.fire, "L")
+    sim.schedule(3.0, note, "cb")
+    sim.schedule(3.75, nap.interrupt, "I")
+    sim.schedule(4.0, bell.fire, "B")
+    drive(sim)
+    return trace
+
+
+class TestRunMatchesStep:
+    def test_same_trace_from_run_and_from_step_loop(self):
+        def step_all(sim):
+            while sim.step():
+                pass
+
+        by_run = _mixed_scenario(lambda sim: sim.run())
+        by_step = _mixed_scenario(step_all)
+        assert by_run == by_step
+        labels = [label for _time, label in by_run]
+        assert labels[-1] == "bellB"
+        assert "sleeper-zero" in labels and "rejoined1" in labels
